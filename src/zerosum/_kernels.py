@@ -17,7 +17,11 @@ in identical order, so they agree bitwise:
   y >= 0  with ap strictly positive. Entering variable: smallest index with
   reduced cost below -RC_TOL (Bland's rule). Leaving row: minimum ratio,
   ties broken by smallest basis label. Deterministic, anti-cycling, and
-  vertex-returning at degeneracy by construction.
+  vertex-returning at degeneracy by construction. The numpy version runs
+  the ratio test over Python floats (``.tolist()``), which are the same
+  IEEE-754 doubles, so each division, subtraction and comparison rounds
+  exactly as in the jitted loop; only the per-element numpy-scalar
+  overhead goes away.
 """
 
 from __future__ import annotations
@@ -152,7 +156,13 @@ def _lp_kernel_impl(ap, max_iter):
 
 
 def lp_kernel_numpy(ap, max_iter):
-    """Same simplex as the jitted kernel, with vectorized pivot updates."""
+    """Same simplex as the jitted kernel, with vectorized pivot updates.
+
+    The rank-1 update forms the same products as ``np.outer`` and each entry
+    takes one multiply then one subtract, as in the jitted loop; with the
+    ratio test on Python floats (module docstring), the result is bitwise
+    equal to ``_lp_kernel_impl``.
+    """
     n = ap.shape[0]
     width = 2 * n + 1
     t = np.zeros((n + 1, width))
@@ -160,20 +170,24 @@ def lp_kernel_numpy(ap, max_iter):
     t[:n, n:2 * n] = np.eye(n)
     t[:n, width - 1] = 1.0
     t[n, :n] = -1.0
-    basis = np.arange(n, 2 * n, dtype=np.int64)
+    obj = t[n, :2 * n]
+    rhs = t[:n, width - 1]
+    basis = list(range(n, 2 * n))
 
     status = 0
     iters = 0
     while True:
-        neg = np.flatnonzero(t[n, :2 * n] < -RC_TOL)
-        if neg.size == 0:
+        neg = obj < -RC_TOL
+        enter = int(neg.argmax())
+        if not neg[enter]:
             break
-        enter = int(neg[0])
+        col = t[:n, enter].tolist()
+        rhs_vals = rhs.tolist()
         leave = -1
         best = np.inf
         for i in range(n):
-            if t[i, enter] > PIV_TOL:
-                ratio = t[i, width - 1] / t[i, enter]
+            if col[i] > PIV_TOL:
+                ratio = rhs_vals[i] / col[i]
                 if ratio < best - RATIO_TIE_TOL:
                     best = ratio
                     leave = i
@@ -182,9 +196,8 @@ def lp_kernel_numpy(ap, max_iter):
         if leave < 0:
             status = 2
             break
-        factors = t[:, enter].copy()
         piv_row = t[leave] / t[leave, enter]
-        t -= np.outer(factors, piv_row)
+        t -= t[:, enter, None] * piv_row
         t[leave] = piv_row
         basis[leave] = enter
         iters += 1
@@ -193,11 +206,13 @@ def lp_kernel_numpy(ap, max_iter):
             break
 
     y = np.zeros(n)
-    own = basis < n
-    y[basis[own]] = t[:n, width - 1][own]
+    for i, b in enumerate(basis):
+        if b < n:
+            y[b] = rhs[i]
     duals = t[n, n:2 * n].copy()
-    nonbasic = np.setdiff1d(np.arange(2 * n), basis, assume_unique=False)
-    degenerate = bool((np.abs(t[n, nonbasic]) <= RC_TOL).any())
+    nonbasic = np.ones(2 * n, dtype=bool)
+    nonbasic[basis] = False
+    degenerate = bool((np.abs(obj[nonbasic]) <= RC_TOL).any())
     return status, y, duals, float(t[n, width - 1]), iters, degenerate
 
 

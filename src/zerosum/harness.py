@@ -134,10 +134,15 @@ class EvalResult:
 
 
 def score_responses(game, responses, tau: float) -> GameResult:
-    """Reward each response against the game; best-of over valid samples."""
+    """Reward each response against the game; best-of over valid samples.
+
+    A response object repeated in the list (agents that return
+    ``[resp] * k``) is scored once and its reward reused.
+    """
     rewards = []
     invalid = []
     raw_texts = []
+    scored = {}  # id(resp) -> reward; responses stay alive for the call
     for resp in responses:
         raw_texts.append(resp.raw_text)
         if resp.parsed is None:
@@ -145,7 +150,10 @@ def score_responses(game, responses, tau: float) -> GameResult:
             rewards.append(0.0)
         else:
             invalid.append(False)
-            rewards.append(exploitability(game.matrix, resp.parsed).reward)
+            key = id(resp)
+            if key not in scored:
+                scored[key] = exploitability(game.matrix, resp.parsed).reward
+            rewards.append(scored[key])
     best_reward = 0.0
     best_index = None
     for i, (r, bad) in enumerate(zip(rewards, invalid)):

@@ -52,8 +52,13 @@ def raw_exploit(matrix: PayoffMatrix, pair: StrategyPair) -> float:
         raise ContractViolation(
             f"strategy lengths ({pair.row.n}, {pair.col.n}) do not match matrix size {matrix.n}"
         )
-    max_aq, min_pa, value = exploit_terms(matrix.entries, pair.row.probs, pair.col.probs)
-    return max(0.0, max_aq - value) + max(0.0, value - min_pa)
+    return _certificate(matrix.entries, pair.row.probs, pair.col.probs)[0]
+
+
+def _certificate(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """(raw exploitability, realized payoff p'Aq) from one exploit_terms pass."""
+    max_aq, min_pa, value = exploit_terms(a, p, q)
+    return max(0.0, max_aq - value) + max(0.0, value - min_pa), value
 
 
 def verify_equilibrium(matrix: PayoffMatrix, pair: StrategyPair, tol: float = CERT_TOL) -> bool:
@@ -86,10 +91,9 @@ def solve_zero_sum_lp(matrix: PayoffMatrix) -> Equilibrium:
         col=MixedStrategy(y / y.sum()),
     )
     value = 1.0 / obj - shift
-    resid = raw_exploit(matrix, pair)
+    resid, pay = _certificate(a, pair.row.probs, pair.col.probs)
     if resid > CERT_TOL:
         raise SolverError(f"LP solution failed its certificate (exploit {resid:.3e})", instance=a)
-    _, _, pay = exploit_terms(matrix.entries, pair.row.probs, pair.col.probs)
     if abs(pay - value) > CERT_TOL:
         raise SolverError(
             f"LP value {value!r} disagrees with realized payoff {pay!r}", instance=a
@@ -147,21 +151,25 @@ def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
         for rows in combinations(range(n), k):
             for cols in combinations(range(n), k):
                 examined += 1
+                # the row side is solved only when the column side embeds
                 block = a[np.ix_(rows, cols)]
                 col_sol = _equalization_solve(block)
-                row_sol = _equalization_solve(block.T)
-                if col_sol is None or row_sol is None:
+                if col_sol is None:
                     continue
                 q = _embed_support(col_sol[0], cols, n)
-                p = _embed_support(row_sol[0], rows, n)
-                if q is None or p is None:
+                if q is None:
                     continue
-                pair = StrategyPair(row=p, col=q)
-                if raw_exploit(matrix, pair) <= CERT_TOL:
-                    _, _, value = exploit_terms(a, p.probs, q.probs)
+                row_sol = _equalization_solve(block.T)
+                if row_sol is None:
+                    continue
+                p = _embed_support(row_sol[0], rows, n)
+                if p is None:
+                    continue
+                resid, value = _certificate(a, p.probs, q.probs)
+                if resid <= CERT_TOL:
                     return Equilibrium(
                         value=value,
-                        pair=pair,
+                        pair=StrategyPair(row=p, col=q),
                         method="support_enum",
                         iterations=examined,
                         degenerate=False,

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from zerosum import harness
 from zerosum import (
     BlockSolverAgent,
     ContractViolation,
@@ -27,6 +28,7 @@ from zerosum import (
     sample_game,
     score_responses,
 )
+from zerosum.core import canonical_json
 
 # On matching pennies with p = (a, 1-a), q = (b, 1-b) the normalized
 # reward reduces to 1 - (|2a-1| + |2b-1|) / 4, which makes scoring
@@ -111,6 +113,31 @@ class TestScoreResponses:
     def test_json_round_trip(self):
         res = score_responses(MP, mp_responses(T_085, T_BAD), tau=0.10)
         assert GameResult.from_json_dict(res.to_json_dict()) == res
+
+
+    def test_repeated_response_object_is_scored_once(self, monkeypatch):
+        game = make_eval_set(n=3, count=1, eval_seed=13)[0]
+        resp = OracleAgent().propose(game, 1)[0]
+        fresh = [parse_response(resp.raw_text, game.n) for _ in range(4)]
+        expected = score_responses(game, fresh, tau=0.10)
+        calls = []
+        original = harness.exploitability
+
+        def counting(matrix, pair):
+            calls.append(pair)
+            return original(matrix, pair)
+
+        monkeypatch.setattr(harness, "exploitability", counting)
+        res = score_responses(game, [resp] * 4, tau=0.10)
+        assert len(calls) == 1
+        assert res.rewards == expected.rewards
+        assert res == expected
+
+    def test_rescore_of_repeated_responses_is_byte_identical(self):
+        games = make_eval_set(n=4, count=5, eval_seed=13)
+        res = evaluate(OracleAgent(), games, k=4, tau=0.10)
+        again = rescore(res, games)
+        assert canonical_json(again.to_json_dict()) == canonical_json(res.to_json_dict())
 
 
 class TestEvaluate:

@@ -1,6 +1,11 @@
 """Backend parity: the jitted kernels and the numpy fallbacks must agree
 bitwise, not just within tolerance, so results cannot depend on which
-backend a machine happens to select."""
+backend a machine happens to select.
+
+The plain-Python bodies the jitted kernels are compiled from
+(``_lp_kernel_impl``, ``_exploit_terms_impl``) are the reference; the
+numpy kernels are checked against them directly, so parity is tested with
+or without numba installed."""
 
 import os
 import subprocess
@@ -10,6 +15,8 @@ import numpy as np
 import pytest
 
 from zerosum import _kernels as K
+from zerosum.gen import GameSpec, dominated_pad, random_pad, sample_game
+from zerosum.rng import child_seed
 
 needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
 
@@ -71,6 +78,48 @@ def test_lp_kernel_backends_agree_bitwise():
         assert y_nb.tobytes() == y_np.tobytes(), f"trial {trial}"
         assert d_nb.tobytes() == d_np.tobytes()
         assert float(o_nb) == float(o_np)
+
+
+def _parity_games():
+    """Seeded integer, gaussian and sparse games at n = 2..20, plus padded
+    games, whose dominated blocks give degenerate and tied ratio tests."""
+    games = []
+    for dist in ("integer", "gaussian", "sparse"):
+        for n in range(2, 21):
+            for i in range(2):
+                spec = GameSpec(n=n, distribution=dist, seed=child_seed(31, n, i))
+                games.append(sample_game(spec).matrix.entries)
+    for i in range(6):
+        base = sample_game(GameSpec(n=2 + i % 3, seed=child_seed(32, i)))
+        for target in (6, 9):
+            games.append(dominated_pad(base, target, shuffle=bool(i % 2)).padded.entries)
+            games.append(random_pad(base, target).padded.entries)
+    return games
+
+
+def test_lp_kernel_numpy_matches_reference_bitwise():
+    degenerate = 0
+    for a in _parity_games():
+        ap = a + (1.0 - a.min())
+        s_ref, y_ref, d_ref, o_ref, i_ref, g_ref = K._lp_kernel_impl(ap, 10_000)
+        s_np, y_np, d_np, o_np, i_np, g_np = K.lp_kernel_numpy(ap, 10_000)
+        assert (s_np, i_np, g_np) == (s_ref, i_ref, g_ref), a
+        assert y_np.tobytes() == y_ref.tobytes(), a
+        assert d_np.tobytes() == d_ref.tobytes(), a
+        assert float(o_np).hex() == float(o_ref).hex(), a
+        degenerate += g_ref
+    assert degenerate > 0  # the set exercises the degenerate paths
+
+
+def test_exploit_terms_numpy_matches_reference_bitwise():
+    rng = np.random.default_rng(33)
+    for a in _parity_games():
+        n = a.shape[0]
+        p = rng.dirichlet(np.ones(n))
+        q = rng.dirichlet(np.ones(n))
+        ref = tuple(float(x).hex() for x in K._exploit_terms_impl(a, p, q))
+        got = tuple(float(x).hex() for x in K.exploit_terms_numpy(a, p, q))
+        assert got == ref, a
 
 
 def test_lp_kernel_deterministic():

@@ -1,6 +1,7 @@
 """Equilibrium solving: the simplex route, the independent
 support-enumeration route, and their agreement."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -20,6 +21,7 @@ from zerosum import (
     uniform_pair,
     verify_equilibrium,
 )
+from zerosum.rng import child_seed
 
 MP = PayoffMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -124,6 +126,29 @@ def test_solver_is_bitwise_deterministic():
         if sa is not None:
             sb = support_enumeration(m)
             assert sa.pair.row.probs.tobytes() == sb.pair.row.probs.tobytes()
+
+
+# SHA-256 over every returned bit of both routes on a fixed corpus. A
+# speedup of either solver must leave it unchanged; a deliberate change to
+# the selector has to update it and say why.
+SOLVER_PIN = "abf03907f11ee0c496a9c37c8e8a61970962bcfd7f71a82c59c72b88f0b82c33"
+
+
+def test_solver_outputs_frozen_pin():
+    h = hashlib.sha256()
+    for n in range(2, 21):
+        for i in range(20):
+            g = sample_game(GameSpec(n=n, distribution="integer", seed=child_seed(5, n, i)))
+            eq = solve_zero_sum_lp(g.matrix)
+            h.update(repr((eq.value.hex(), eq.iterations, eq.degenerate)).encode())
+            h.update(eq.pair.row.probs.tobytes())
+            h.update(eq.pair.col.probs.tobytes())
+            if n <= 5:
+                se = support_enumeration(g.matrix)
+                h.update(repr((se.value.hex(), se.iterations)).encode())
+                h.update(se.pair.row.probs.tobytes())
+                h.update(se.pair.col.probs.tobytes())
+    assert h.hexdigest() == SOLVER_PIN
 
 
 def test_verify_equilibrium_rejects_non_equilibria():

@@ -73,12 +73,24 @@ def _exploit_terms_impl(a, p, q):
     return aq.max(), pa.min(), v
 
 
+def exploit_terms_batch(a, p, q):
+    """(max_i (Aq)_i, min_j (p'A)_j, p'Aq) with order-canonical summation.
+
+    p and q are one strategy pair of shape (n,) or a stack of pairs of shape
+    (g, n); the results carry the same leading axes. Each pair's products
+    are sorted and summed along their own axis, so row g of a stack is
+    bitwise the result for p[g], q[g] alone.
+    """
+    aq = np.cumsum(np.sort(a * q[..., None, :], axis=-1), axis=-1)[..., -1]
+    pa = np.cumsum(np.sort(a * p[..., :, None], axis=-2), axis=-2)[..., -1, :]
+    v = np.cumsum(np.sort(p * aq, axis=-1), axis=-1)[..., -1]
+    return aq.max(axis=-1), pa.min(axis=-1), v
+
+
 def exploit_terms_numpy(a, p, q):
-    """(max_i (Aq)_i, min_j (p'A)_j, p'Aq) with order-canonical summation."""
-    aq = np.cumsum(np.sort(a * q, axis=1), axis=1)[:, -1]
-    pa = np.cumsum(np.sort(a * p[:, None], axis=0), axis=0)[-1, :]
-    v = np.cumsum(np.sort(p * aq))[-1]
-    return float(aq.max()), float(pa.min()), float(v)
+    """exploit_terms_batch for one strategy pair, as Python floats."""
+    max_aq, min_pa, v = exploit_terms_batch(a, p, q)
+    return float(max_aq), float(min_pa), float(v)
 
 
 def _lp_kernel_impl(ap, max_iter):

@@ -215,15 +215,11 @@ def serialize_pair(pair: StrategyPair) -> str:
     return json.dumps(pair.to_json_dict())
 
 
-def _respond(raw_text: str, n: int) -> AgentResponse:
-    return parse_response(raw_text, n)
-
-
 class UniformAgent:
     name = "uniform"
 
     def propose(self, game, k: int) -> list[AgentResponse]:
-        resp = _respond(serialize_pair(uniform_pair(game.n)), game.n)
+        resp = parse_response(serialize_pair(uniform_pair(game.n)), game.n)
         return [resp] * k
 
 
@@ -231,7 +227,7 @@ class MaximinAgent:
     name = "maximin"
 
     def propose(self, game, k: int) -> list[AgentResponse]:
-        resp = _respond(serialize_pair(maximin_pure(game.matrix)), game.n)
+        resp = parse_response(serialize_pair(maximin_pure(game.matrix)), game.n)
         return [resp] * k
 
 
@@ -239,7 +235,7 @@ class OracleAgent:
     name = "oracle"
 
     def propose(self, game, k: int) -> list[AgentResponse]:
-        resp = _respond(serialize_pair(solve_zero_sum_lp(game.matrix).pair), game.n)
+        resp = parse_response(serialize_pair(solve_zero_sum_lp(game.matrix).pair), game.n)
         return [resp] * k
 
 
@@ -261,7 +257,7 @@ class NoisyOracleAgent:
     def propose(self, game, k: int) -> list[AgentResponse]:
         pair = solve_zero_sum_lp(game.matrix).pair
         if self.sigma == 0.0:
-            return [_respond(serialize_pair(pair), game.n)] * k
+            return [parse_response(serialize_pair(pair), game.n)] * k
         out = []
         gid = int(game.id, 16)
         for s in range(k):
@@ -269,7 +265,7 @@ class NoisyOracleAgent:
             row = pair.row.probs + self.sigma * rng.standard_normal(game.n)
             col = pair.col.probs + self.sigma * rng.standard_normal(game.n)
             raw = json.dumps({"row": row.tolist(), "col": col.tolist()})
-            out.append(_respond(raw, game.n))
+            out.append(parse_response(raw, game.n))
         return out
 
 
@@ -298,7 +294,7 @@ class BlockSolverAgent:
         col = np.zeros(game.n)
         col[:b] = pair.col.probs
         raw = json.dumps({"row": row.tolist(), "col": col.tolist()})
-        return [_respond(raw, game.n)] * k
+        return [parse_response(raw, game.n)] * k
 
 
 def builtin_agent(kind: str, sigma: float = 0.0, seed: int = 0):

@@ -28,6 +28,7 @@ import types
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .agents import (
     BlockSolverAgent,
     NoisyOracleAgent,
@@ -54,7 +55,7 @@ from .harness import (
     rescore,
 )
 from .rng import child_seed
-from .solver import raw_exploit, solve_zero_sum_lp, support_enumeration
+from .solver import CERT_TOL, raw_exploit, solve_zero_sum_lp, support_enumeration
 from .theory import (
     ToyPolicy,
     check_residual_lipschitz,
@@ -63,10 +64,7 @@ from .theory import (
     toy_grpo_train,
 )
 
-VERSION = "0.1.0"
-
 SOLVE_AGREE_TOL = 1e-6
-CERT_TOL = 1e-8
 
 
 def _as_int(value, key):

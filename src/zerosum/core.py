@@ -115,6 +115,20 @@ class PayoffMatrix:
         )
 
 
+def strategy_checks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rules of a mixed strategy, in the order MixedStrategy applies them.
+
+    For each vector along the last axis of arr: (all weights finite, all
+    nonnegative, sum within SIMPLEX_SUM_TOL of 1), as boolean arrays over
+    the leading axes (scalars for a single vector). The last two are
+    meaningful only where the first holds.
+    """
+    finite = np.isfinite(arr).all(axis=-1)
+    nonnegative = (arr >= 0.0).all(axis=-1)
+    sums_to_one = np.abs(arr.sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL
+    return finite, nonnegative, sums_to_one
+
+
 @dataclass(frozen=True, eq=False)
 class MixedStrategy:
     """Probability vector on the action simplex."""
@@ -125,11 +139,12 @@ class MixedStrategy:
         arr = np.asarray(self.probs, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ContractViolation(f"strategy must be a nonempty vector, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        finite, nonnegative, sums_to_one = strategy_checks(arr)
+        if not finite:
             raise ContractViolation("strategy weights must be finite")
-        if (arr < 0.0).any():
+        if not nonnegative:
             raise ContractViolation("strategy weights must be nonnegative")
-        if abs(float(arr.sum()) - 1.0) > SIMPLEX_SUM_TOL:
+        if not sums_to_one:
             raise ContractViolation(f"strategy weights sum to {arr.sum()!r}, not 1")
         object.__setattr__(self, "probs", _frozen_array(arr))
 

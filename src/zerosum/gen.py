@@ -37,7 +37,7 @@ from .core import (
 )
 from .errors import ConstructionError, ContractViolation
 from .rng import child_seed, generator
-from .solver import CERT_TOL, raw_exploit, solve_zero_sum_lp
+from .solver import CERT_TOL, Equilibrium, raw_exploit, solve_zero_sum_lp
 
 DISTRIBUTIONS = ("integer", "gaussian", "sparse")
 _DIST_CODE = {"integer": 1, "gaussian": 2, "sparse": 3}
@@ -239,7 +239,7 @@ def _padded_id(kind: str, base: GameRecord, padded: np.ndarray) -> str:
 
 
 def dominated_pad(
-    base: GameRecord, target_n: int, shuffle: bool = False
+    base: GameRecord, target_n: int, shuffle: bool = False, *, base_eq: Equilibrium | None = None
 ) -> PaddedGameRecord:
     """Pad with strictly dominated actions; the equilibrium is preserved.
 
@@ -251,7 +251,8 @@ def dominated_pad(
     column position permutations. Every record is re-verified: the
     zero-extended base equilibrium must certify on the padded game and the
     padded LP value must match the base LP value at 1e-8, else
-    ConstructionError.
+    ConstructionError. ``base_eq`` is the base game's LP solution; it is
+    solved here when not given.
     """
     k = base.n
     if target_n <= k:
@@ -276,7 +277,8 @@ def dominated_pad(
     row_map = tuple(int(x) for x in row_pos[:k])
     col_map = tuple(int(x) for x in col_pos[:k])
 
-    base_eq = solve_zero_sum_lp(base.matrix)
+    if base_eq is None:
+        base_eq = solve_zero_sum_lp(base.matrix)
     padded_matrix = PayoffMatrix(
         padded, meta=replace(base.matrix.meta, normalized=False)
     )
@@ -307,7 +309,9 @@ def dominated_pad(
     )
 
 
-def random_pad(base: GameRecord, target_n: int) -> PaddedGameRecord:
+def random_pad(
+    base: GameRecord, target_n: int, *, base_eq: Equilibrium | None = None
+) -> PaddedGameRecord:
     """Negative control: same base block, random surround, no preservation.
 
     The base block occupies the top-left k x k corner; every other entry is
@@ -315,7 +319,8 @@ def random_pad(base: GameRecord, target_n: int) -> PaddedGameRecord:
     and the corner overwritten, so the surround is a fixed function of the
     stream). The reference pair is still the zero-extended base equilibrium,
     but nothing certifies it here; its exploitability on the padded game is
-    recorded in the certificate for inspection.
+    recorded in the certificate for inspection. ``base_eq`` is the base
+    game's LP solution; it is solved here when not given.
     """
     k = base.n
     if target_n <= k:
@@ -333,7 +338,8 @@ def random_pad(base: GameRecord, target_n: int) -> PaddedGameRecord:
     )
     row_map = tuple(range(k))
     col_map = tuple(range(k))
-    base_eq = solve_zero_sum_lp(base.matrix)
+    if base_eq is None:
+        base_eq = solve_zero_sum_lp(base.matrix)
     reference = _zero_extend(base_eq.pair, row_map, col_map, target_n)
     certificate = {
         "base_value": base_eq.value,

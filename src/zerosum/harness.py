@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import solver
 from .agents import parse_response
 from .core import apply_affine, apply_permutation, exploitability, permute_pair
 from .errors import ContractViolation
@@ -427,6 +428,8 @@ def padding_cliff_experiment(
         return sample_game(GameSpec(n=n, distribution="integer", seed=child_seed(seed, *parts)))
 
     bases = [draw(base_n, 1, i) for i in range(count)]
+    # looked up on the module, where perfbench's tracer counts LP solves
+    base_eqs = [solver.solve_zero_sum_lp(b.matrix) for b in bases]
     base_res = evaluate(agent, bases, k=k, tau=tau, jobs=jobs,
                         condition="base", distribution="integer")
     rows = [
@@ -434,8 +437,8 @@ def padding_cliff_experiment(
     ]
     for t in targets:
         dense = [draw(t, 2, t, i) for i in range(count)]
-        dom = [dominated_pad(b, t) for b in bases]
-        rand = [random_pad(b, t) for b in bases]
+        dom = [dominated_pad(b, t, base_eq=eq) for b, eq in zip(bases, base_eqs)]
+        rand = [random_pad(b, t, base_eq=eq) for b, eq in zip(bases, base_eqs)]
         for cond, games in (("dense", dense), ("dominated", dom), ("random", rand)):
             res = evaluate(agent, games, k=k, tau=tau, jobs=jobs,
                            condition=cond, distribution="integer")

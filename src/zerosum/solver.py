@@ -14,19 +14,26 @@ Support enumeration is an independent oracle for n <= 5: it scans
 equal-size support pairs in documented order (size ascending, then
 lexicographic row support, then lexicographic column support), solves the
 equalization systems, and returns the first candidate whose best-response
-certificate passes. The two routes share no solver code, so they can
-cross-check each other.
+certificate passes. It works on one support size k at a time: every
+k x k block is gathered with one fancy index, the bordered systems of each
+side are solved in one stacked np.linalg.solve, and the survivors are
+certified in one batched exploit pass. A system counts as singular when
+np.linalg.slogdet gives sign 0, the exact-zero LU pivot on which a single
+np.linalg.solve raises, so the scan returns bit for bit what solving one
+candidate at a time returns. The two routes share no solver code, so they
+can cross-check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 
-from ._kernels import exploit_terms, lp_kernel
-from .core import MixedStrategy, PayoffMatrix, StrategyPair
+from ._kernels import exploit_terms, exploit_terms_batch, lp_kernel
+from .core import MixedStrategy, PayoffMatrix, StrategyPair, strategy_checks
 from .errors import ContractViolation, SolverError
 
 CERT_TOL = 1e-8          # exploitability certificate for returned equilibria
@@ -103,33 +110,57 @@ def solve_zero_sum_lp(matrix: PayoffMatrix) -> Equilibrium:
     )
 
 
-def _equalization_solve(block: np.ndarray):
-    """Solve [B -1; 1' 0] [x; v] = [0; 1]; None if singular."""
-    k = block.shape[0]
-    m = np.zeros((k + 1, k + 1))
-    m[:k, :k] = block
-    m[:k, k] = -1.0
-    m[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    try:
-        sol = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(sol).all():
-        return None
-    return sol[:k], float(sol[k])
+@cache
+def _support_pairs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) index arrays of every |R| = |C| = k support pair, in scan order."""
+    combos = np.array(list(combinations(range(n), k)))
+    m = len(combos)
+    rows = np.repeat(combos, m, axis=0)
+    cols = np.tile(combos, (m, 1))
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
-def _embed_support(weights: np.ndarray, support, n: int) -> MixedStrategy | None:
-    if (weights < -SUPPORT_NEG_TOL).any():
-        return None
-    full = np.zeros(n)
-    full[list(support)] = np.maximum(weights, 0.0)
-    total = full.sum()
-    if total <= 0.0:
-        return None
-    return MixedStrategy(full / total)
+def _equalize(blocks: np.ndarray, support: np.ndarray, n: int, live: np.ndarray):
+    """Equalizing strategies for the live blocks of a stack, embedded in n actions.
+
+    Solves [B -1; 1' 0] [x; v] = [0; 1] for each live k x k block B. A
+    system is dropped when it is singular (an exact-zero LU pivot, the case
+    in which np.linalg.solve raises), when its solution is not finite, when
+    a weight lies below -SUPPORT_NEG_TOL, or when the clamped weights have
+    no mass. Returns (ok, full): which blocks were kept, and their
+    normalized strategies as rows of a (len(blocks), n) array, zero where
+    not kept. Each kept row is bitwise what solving its block alone gives.
+    """
+    k = support.shape[1]
+    idx = np.flatnonzero(live)
+    m = np.zeros((len(idx), k + 1, k + 1))
+    m[:, :k, :k] = blocks[idx]
+    m[:, :k, k] = -1.0
+    m[:, k, :k] = 1.0
+    regular = np.linalg.slogdet(m)[0] != 0.0
+    idx = idx[regular]
+    # an explicit (g, k + 1, 1) right-hand side: numpy 1.x reads a 1-D one
+    # as a matrix against a stack and raises
+    rhs = np.zeros((len(idx), k + 1, 1))
+    rhs[:, k] = 1.0
+    sol = np.linalg.solve(m[regular], rhs)[..., 0]
+    weights = sol[:, :k]
+    good = np.isfinite(sol).all(axis=1) & ~(weights < -SUPPORT_NEG_TOL).any(axis=1)
+    idx = idx[good]
+    full = np.zeros((len(blocks), n))
+    full[idx[:, None], support[idx]] = np.maximum(weights[good], 0.0)
+    total = full.sum(axis=1)
+    ok = total > 0.0
+    full[ok] /= total[ok, None]
+    return ok, full
+
+
+def _is_strategy(full: np.ndarray) -> np.ndarray:
+    """Per row: whether MixedStrategy accepts it."""
+    finite, nonnegative, sums_to_one = strategy_checks(full)
+    return finite & nonnegative & sums_to_one
 
 
 def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
@@ -138,7 +169,10 @@ def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
     For supports (R, C) with |R| = |C| = k the column weights equalize the
     row payoffs on R and vice versa; a candidate is returned only after the
     full best-response certificate passes at 1e-8, which also certifies
-    that the two equalization values agree.
+    that the two equalization values agree. Each support size k is handled
+    in one stacked pass, and the first passing candidate in scan order is
+    returned, with its 1-based scan position as ``iterations``. A candidate
+    whose strategy MixedStrategy rejects stops the scan with that error.
     """
     n = matrix.n
     if n > SUPPORT_ENUM_MAX_N:
@@ -148,32 +182,36 @@ def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
     a = matrix.entries
     examined = 0
     for k in range(1, n + 1):
-        for rows in combinations(range(n), k):
-            for cols in combinations(range(n), k):
-                examined += 1
-                # the row side is solved only when the column side embeds
-                block = a[np.ix_(rows, cols)]
-                col_sol = _equalization_solve(block)
-                if col_sol is None:
-                    continue
-                q = _embed_support(col_sol[0], cols, n)
-                if q is None:
-                    continue
-                row_sol = _equalization_solve(block.T)
-                if row_sol is None:
-                    continue
-                p = _embed_support(row_sol[0], rows, n)
-                if p is None:
-                    continue
-                resid, value = _certificate(a, p.probs, q.probs)
-                if resid <= CERT_TOL:
-                    return Equilibrium(
-                        value=value,
-                        pair=StrategyPair(row=p, col=q),
-                        method="support_enum",
-                        iterations=examined,
-                        degenerate=False,
-                    )
+        rows, cols = _support_pairs(n, k)
+        blocks = a[rows[:, :, None], cols[:, None, :]]
+        # the row side is solved only where the column side is a strategy
+        col_ok, q = _equalize(blocks, cols, n, np.ones(len(blocks), dtype=bool))
+        q_valid = _is_strategy(q)
+        row_ok, p = _equalize(blocks.transpose(0, 2, 1), rows, n, col_ok & q_valid)
+        p_valid = _is_strategy(p)
+        both = np.flatnonzero(row_ok & p_valid)
+        max_aq, min_pa, values = exploit_terms_batch(a, p[both], q[both])
+        # fmax, like the max(0.0, x) in _certificate, maps NaN to 0.0
+        resid = np.fmax(0.0, max_aq - values) + np.fmax(0.0, values - min_pa)
+        stop = (col_ok & ~q_valid) | (row_ok & ~p_valid)
+        stop[both[resid <= CERT_TOL]] = True
+        if not stop.any():
+            examined += len(blocks)
+            continue
+        first = int(stop.argmax())
+        # on a rejected strategy, MixedStrategy raises: column side first
+        col = MixedStrategy(q[first])
+        row = MixedStrategy(p[first])
+        # the value comes from the selected backend's kernel: where p'Aq is
+        # zero, its sign can differ between the numba and numpy kernels
+        value = exploit_terms(a, row.probs, col.probs)[2]
+        return Equilibrium(
+            value=value,
+            pair=StrategyPair(row=row, col=col),
+            method="support_enum",
+            iterations=examined + first + 1,
+            degenerate=False,
+        )
     raise SolverError("support enumeration found no certified equilibrium", instance=a)
 
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zerosum import harness
+from zerosum import gen, harness, solver
 from zerosum import (
     BlockSolverAgent,
     ContractViolation,
@@ -278,6 +278,22 @@ class TestPaddingCliff:
         # shared base point: all three conditions start from the same row
         base_rows = [r for r in rep.rows if r["n"] == 2]
         assert len({r["s_at_tau"] for r in base_rows}) == 1
+
+    def test_solves_each_base_game_once(self, monkeypatch):
+        original = solver.solve_zero_sum_lp
+        sizes = []
+
+        def counting(matrix):
+            sizes.append(matrix.n)
+            return original(matrix)
+
+        monkeypatch.setattr(solver, "solve_zero_sum_lp", counting)
+        monkeypatch.setattr(gen, "solve_zero_sum_lp", counting)
+        padding_cliff_experiment(
+            UniformAgent(), base_n=2, targets=(4, 6), count=3, k=1, seed=13
+        )
+        # each base game once, then each dominated pad once to check its value
+        assert sorted(sizes) == [2] * 3 + [4] * 3 + [6] * 3
 
     def test_rejects_target_not_above_base(self):
         with pytest.raises(ContractViolation):

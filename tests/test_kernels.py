@@ -122,6 +122,21 @@ def test_exploit_terms_numpy_matches_reference_bitwise():
         assert got == ref, a
 
 
+def test_exploit_terms_batch_matches_numpy_kernel_row_by_row():
+    rng = np.random.default_rng(34)
+    for a in _parity_games():
+        n = a.shape[0]
+        p = rng.dirichlet(np.ones(n), size=5)
+        q = rng.dirichlet(np.ones(n), size=5)
+        p[0] = np.eye(n)[0]  # pure strategies put exact zeros in the products
+        q[1] = np.eye(n)[-1]
+        batch = K.exploit_terms_batch(a, p, q)
+        for g in range(5):
+            ref = tuple(float(x).hex() for x in K.exploit_terms_numpy(a, p[g], q[g]))
+            got = tuple(float(col[g]).hex() for col in batch)
+            assert got == ref, (a, g)
+
+
 def test_lp_kernel_deterministic():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(6, 6))

@@ -14,6 +14,7 @@ from zerosum import (
     sample_game,
     solve_zero_sum_lp,
 )
+from zerosum.core import canonical_json
 
 
 def base_game(seed=0, n=3):
@@ -124,6 +125,18 @@ class TestRandomPad:
         b = random_pad(base, 10)
         assert a.id == b.id
         assert np.array_equal(a.padded.entries, b.padded.entries)
+
+
+def test_given_base_solution_gives_the_same_record():
+    for seed in range(4):
+        base = base_game(seed=seed, n=2 + seed % 2)
+        eq = solve_zero_sum_lp(base.matrix)
+        for rec, given in (
+            (dominated_pad(base, 7, shuffle=True),
+             dominated_pad(base, 7, shuffle=True, base_eq=eq)),
+            (random_pad(base, 7), random_pad(base, 7, base_eq=eq)),
+        ):
+            assert canonical_json(given.to_json_dict()) == canonical_json(rec.to_json_dict())
 
 
 class TestPaddedSerialization:

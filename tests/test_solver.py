@@ -102,6 +102,35 @@ def test_support_enumeration_rejects_large_games():
         support_enumeration(PayoffMatrix(np.zeros((6, 6)) + np.eye(6)))
 
 
+def _highs_value(a):
+    """Game value from scipy's HiGHS: max v s.t. p'A >= v, p on the simplex."""
+    from scipy.optimize import linprog
+
+    n = a.shape[0]
+    res = linprog(
+        c=np.r_[np.zeros(n), -1.0],
+        A_ub=np.c_[-a.T, np.ones(n)],
+        b_ub=np.zeros(n),
+        A_eq=np.r_[np.ones(n), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * n + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_lp_value_matches_highs_beyond_support_enumeration():
+    # support enumeration stops at n = 5; above it HiGHS is the independent route
+    pytest.importorskip("scipy")
+    for n in (6, 8, 12, 16, 24, 32, 48, 64):
+        for dist in ("integer", "gaussian", "sparse"):
+            for i in range(4):
+                g = sample_game(GameSpec(n=n, distribution=dist, seed=child_seed(24, n, i)))
+                value = solve_zero_sum_lp(g.matrix).value
+                assert abs(value - _highs_value(g.matrix.entries)) <= 1e-8, (n, dist, i)
+
+
 def test_duality_under_negated_transpose():
     rng = np.random.default_rng(22)
     for _ in range(100):

@@ -1,0 +1,193 @@
+"""Support enumeration scans one support size at a time in stacked numpy
+passes. It must return bit for bit what a scan of one candidate at a time
+returns: value, iterations, strategy bytes, and the same error type.
+
+``_reference_support_enumeration`` below is that one-at-a-time scan, kept
+as the reference."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from zerosum import _kernels, core, solver
+from zerosum.core import MixedStrategy, PayoffMatrix
+from zerosum.errors import ContractViolation, SolverError
+from zerosum.gen import GameSpec, dominated_pad, sample_game
+from zerosum.rng import child_seed
+
+
+def _equalization_solve(block):
+    k = block.shape[0]
+    m = np.zeros((k + 1, k + 1))
+    m[:k, :k] = block
+    m[:k, k] = -1.0
+    m[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        sol = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(sol).all():
+        return None
+    return sol[:k]
+
+
+def _embed_support(weights, support, n):
+    if (weights < -solver.SUPPORT_NEG_TOL).any():
+        return None
+    full = np.zeros(n)
+    full[list(support)] = np.maximum(weights, 0.0)
+    total = full.sum()
+    if total <= 0.0:
+        return None
+    return MixedStrategy(full / total)
+
+
+def _reference_support_enumeration(matrix):
+    """(value, iterations, row, col) of the first certified candidate."""
+    n = matrix.n
+    a = matrix.entries
+    examined = 0
+    for k in range(1, n + 1):
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                examined += 1
+                block = a[np.ix_(rows, cols)]
+                col_w = _equalization_solve(block)
+                if col_w is None:
+                    continue
+                q = _embed_support(col_w, cols, n)
+                if q is None:
+                    continue
+                row_w = _equalization_solve(block.T)
+                if row_w is None:
+                    continue
+                p = _embed_support(row_w, rows, n)
+                if p is None:
+                    continue
+                max_aq, min_pa, value = solver.exploit_terms(a, p.probs, q.probs)
+                if max(0.0, max_aq - value) + max(0.0, value - min_pa) <= solver.CERT_TOL:
+                    return value, examined, p, q
+    raise SolverError("support enumeration found no certified equilibrium", instance=a)
+
+
+def _outcome(fn, matrix):
+    try:
+        out = fn(matrix)
+    except (SolverError, ContractViolation) as exc:
+        return type(exc).__name__
+    if isinstance(out, tuple):
+        value, iterations, row, col = out
+    else:
+        value, iterations, row, col = out.value, out.iterations, out.pair.row, out.pair.col
+    return float(value).hex(), iterations, row.probs.tobytes(), col.probs.tobytes()
+
+
+def _assert_same(matrix):
+    ref = _outcome(_reference_support_enumeration, matrix)
+    got = _outcome(solver.support_enumeration, matrix)
+    assert got == ref, matrix.entries.tolist()
+    return ref
+
+
+def _seeded_games():
+    for dist in ("integer", "gaussian", "sparse"):
+        for n in range(2, 6):
+            for i in range(12):
+                spec = GameSpec(n=n, distribution=dist, seed=child_seed(41, n, i))
+                yield sample_game(spec).matrix
+
+
+def _hand_built():
+    mp = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    yield mp
+    yield np.kron(mp, np.ones((2, 2)))  # duplicate rows and columns, 4x4
+    rng = np.random.default_rng(42)
+    for n in range(2, 6):
+        yield np.zeros((n, n))
+        yield np.ones((n, n))
+        dup = rng.integers(-3, 4, size=(n, n)).astype(float)
+        dup[-1] = dup[0]
+        dup[:, -1] = dup[:, 0]
+        yield dup
+        yield rng.integers(-1, 2, size=(n, n)).astype(float)  # many singular blocks
+        yield rng.integers(0, 2, size=(n, n)).astype(float)
+        # tiny but regular blocks: only an exact-zero pivot makes a system singular
+        yield rng.normal(size=(n, n)) * 1e-6
+        # at this scale no candidate meets the absolute 1e-8 certificate
+        yield rng.normal(size=(n, n)) * 1e12
+
+
+def _dominated_pads():
+    for i, base_n in enumerate((2, 2, 3, 3)):
+        base = sample_game(GameSpec(n=base_n, seed=child_seed(43, i)))
+        for target in (4, 5):
+            yield dominated_pad(base, target, shuffle=bool(i % 2)).padded
+
+
+def test_batched_scan_matches_reference_on_seeded_games():
+    for matrix in _seeded_games():
+        _assert_same(matrix)
+
+
+def test_batched_scan_matches_reference_on_singular_and_degenerate_games():
+    outcomes = [_assert_same(PayoffMatrix(a)) for a in _hand_built()]
+    assert "SolverError" in outcomes  # the no-equilibrium path is exercised
+
+
+def test_batched_scan_matches_reference_on_dominated_pads():
+    for matrix in _dominated_pads():
+        _assert_same(matrix)
+
+
+def test_batched_scan_stops_on_the_same_rejected_strategy(monkeypatch):
+    # with a zero simplex tolerance MixedStrategy rejects every normalized
+    # strategy whose sum rounds away from 1, so the scan must raise exactly
+    # where the one-at-a-time scan reaches the first such candidate
+    monkeypatch.setattr(core, "SIMPLEX_SUM_TOL", 0.0)
+    outcomes = [_assert_same(m) for m in _seeded_games()]
+    assert "ContractViolation" in outcomes
+    assert any(not isinstance(o, str) for o in outcomes)
+
+
+def test_batched_scan_keeps_the_backend_kernels_value(monkeypatch):
+    # the plain-Python body the numba kernel is compiled from starts each sum
+    # at +0.0, so where every product of p'Aq is -0.0 it gives +0.0 and the
+    # numpy kernel -0.0; the scan must return what the selected kernel gives
+    monkeypatch.setattr(solver, "exploit_terms", _kernels._exploit_terms_impl)
+    rng = np.random.default_rng(44)
+    signed_zeros = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 5))
+        matrix = PayoffMatrix(rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, n)))
+        out = _assert_same(matrix)
+        if not isinstance(out, str):
+            eq = solver.support_enumeration(matrix)
+            numpy_value = _kernels.exploit_terms_numpy(
+                matrix.entries, eq.pair.row.probs, eq.pair.col.probs
+            )[2]
+            signed_zeros += float(numpy_value).hex() != out[0]
+    assert signed_zeros > 0  # the two kernels' zero signs differ on this set
+
+
+def test_batched_scan_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    entries = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    games = st.integers(2, 5).flatmap(
+        lambda n: hnp.arrays(np.float64, (n, n), elements=entries)
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(games)
+    def check(a):
+        _assert_same(PayoffMatrix(a))
+
+    check()

@@ -345,11 +345,11 @@ class RemoteModelConfig:
 
 
 class RemoteModelAgent:
-    """POSTs chat-completion requests; retries, audits, never aborts a run.
+    """POSTs chat completions over urllib; retries, audits, never aborts a run.
 
     Each sample issues {model, messages, temperature, max_tokens, n: 1};
     the bearer token is read from the env var named by config.auth_env. A
-    semaphore caps in-flight requests when games are evaluated in parallel.
+    semaphore caps in-flight calls when games are evaluated in parallel.
     Samples that exhaust their retry budget become invalid (malformed)
     responses and count toward transport_failures.
     """
@@ -374,9 +374,13 @@ class RemoteModelAgent:
                 fh.write(line + "\n")
 
     def _request(self, prompt: str) -> str:
-        import requests
+        # imported on first use: urllib.request loads ssl, which runs
+        # without a remote agent do not need
+        import urllib.error
+        import urllib.request
+        from http.client import HTTPException
 
-        headers = {}
+        headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.config.auth_env, "")
         if token:
             headers["Authorization"] = f"Bearer {token}"
@@ -387,18 +391,21 @@ class RemoteModelAgent:
             "max_tokens": self.config.max_tokens,
             "n": 1,
         }
+        request = urllib.request.Request(
+            self.config.endpoint, data=json.dumps(body).encode(), headers=headers
+        )
         last_error = None
         for _ in range(self.config.retries + 1):
             try:
-                with self._sem:
-                    resp = requests.post(
-                        self.config.endpoint, json=body, headers=headers,
-                        timeout=self.config.timeout,
-                    )
-                if resp.status_code == 200:
-                    return resp.json()["choices"][0]["message"]["content"]
-                last_error = f"http {resp.status_code}"
-            except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+                with self._sem, urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+                    status, payload = resp.status, resp.read()
+                if status == 200:
+                    return json.loads(payload)["choices"][0]["message"]["content"]
+                last_error = f"http {status}"
+            except urllib.error.HTTPError as exc:  # urlopen raises on 4xx/5xx
+                exc.close()
+                last_error = f"http {exc.code}"
+            except (OSError, HTTPException, ValueError, KeyError, IndexError, TypeError) as exc:
                 last_error = repr(exc)
         raise OSError(last_error or "transport failed")
 
@@ -435,10 +442,3 @@ class RemoteModelAgent:
             out.append(resp)
         return out
 
-
-def remote_model_agent(
-    config: RemoteModelConfig,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
-    audit_path: str | None = None,
-) -> RemoteModelAgent:
-    return RemoteModelAgent(config, template=template, audit_path=audit_path)

@@ -202,11 +202,9 @@ def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
         # on a rejected strategy, MixedStrategy raises: column side first
         col = MixedStrategy(q[first])
         row = MixedStrategy(p[first])
-        # the value comes from the selected backend's kernel: where p'Aq is
-        # zero, its sign can differ between the numba and numpy kernels
-        value = exploit_terms(a, row.probs, col.probs)[2]
+        # both strategies passed, so first is a certified candidate in both
         return Equilibrium(
-            value=value,
+            value=float(values[np.searchsorted(both, first)]),
             pair=StrategyPair(row=row, col=col),
             method="support_enum",
             iterations=examined + first + 1,

@@ -19,6 +19,7 @@ from zerosum import (
     NoisyOracleAgent,
     OracleAgent,
     PromptTemplate,
+    RemoteModelAgent,
     RemoteModelConfig,
     UniformAgent,
     build_prompt,
@@ -28,7 +29,6 @@ from zerosum import (
     parse_response,
     prompt_digest,
     raw_exploit,
-    remote_model_agent,
     sample_game,
     serialize_pair,
     solve_zero_sum_lp,
@@ -298,7 +298,7 @@ class TestRemoteAgent:
         audit = tmp_path / "audit.jsonl"
         with scripted_server() as (url, server):
             cfg = RemoteModelConfig(endpoint=url, model="test-model", retries=0)
-            agent = remote_model_agent(cfg, audit_path=str(audit))
+            agent = RemoteModelAgent(cfg, audit_path=str(audit))
             out = agent.propose(GAME, 3)
         assert agent.name == "remote:test-model"
         assert len(out) == 3
@@ -325,13 +325,13 @@ class TestRemoteAgent:
         monkeypatch.delenv("ZEROSUM_API_TOKEN", raising=False)
         with scripted_server() as (url, server):
             cfg = RemoteModelConfig(endpoint=url, model="m", retries=0)
-            remote_model_agent(cfg).propose(GAME, 1)
+            RemoteModelAgent(cfg).propose(GAME, 1)
         assert server.requests[0]["auth"] is None
 
     def test_retry_recovers_from_one_failure(self):
         with scripted_server(script=[(500, {"error": "boom"})]) as (url, server):
             cfg = RemoteModelConfig(endpoint=url, model="m", retries=2)
-            agent = remote_model_agent(cfg)
+            agent = RemoteModelAgent(cfg)
             out = agent.propose(GAME, 1)
         assert out[0].parse_error is None
         assert agent.transport_failures == 0
@@ -342,7 +342,7 @@ class TestRemoteAgent:
         script = [(500, {"error": "down"})] * 4
         with scripted_server(script=script) as (url, server):
             cfg = RemoteModelConfig(endpoint=url, model="m", retries=1)
-            agent = remote_model_agent(cfg, audit_path=str(audit))
+            agent = RemoteModelAgent(cfg, audit_path=str(audit))
             out = agent.propose(GAME, 2)
         assert len(out) == 2
         assert all(r.parse_error == "malformed" for r in out)
@@ -356,7 +356,7 @@ class TestRemoteAgent:
     def test_unparseable_content_is_invalid_but_not_transport(self):
         with scripted_server(fallback_content="no strategy here") as (url, _):
             cfg = RemoteModelConfig(endpoint=url, model="m", retries=0)
-            agent = remote_model_agent(cfg)
+            agent = RemoteModelAgent(cfg)
             out = agent.propose(GAME, 2)
         assert all(r.parse_error == "malformed" for r in out)
         assert all(r.raw_text == "no strategy here" for r in out)

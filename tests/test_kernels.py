@@ -1,24 +1,114 @@
-"""Backend parity: the jitted kernels and the numpy fallbacks must agree
-bitwise, not just within tolerance, so results cannot depend on which
-backend a machine happens to select.
+"""Kernel parity: the numpy kernels must agree bitwise, not just within
+tolerance, with plain-Python loop versions of the same arithmetic.
 
-The plain-Python bodies the jitted kernels are compiled from
-(``_lp_kernel_impl``, ``_exploit_terms_impl``) are the reference; the
-numpy kernels are checked against them directly, so parity is tested with
-or without numba installed."""
-
-import os
-import subprocess
-import sys
+``_exploit_terms_impl`` and ``_lp_kernel_impl`` below are those
+references: one scalar operation at a time, in the order the kernels'
+docstrings state."""
 
 import numpy as np
 import pytest
 
 from zerosum import _kernels as K
+from zerosum._kernels import PIV_TOL, RATIO_TIE_TOL, RC_TOL
 from zerosum.gen import GameSpec, dominated_pad, random_pad, sample_game
 from zerosum.rng import child_seed
 
-needs_numba = pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
+
+def _exploit_terms_impl(a, p, q):
+    n = a.shape[0]
+    aq = np.empty(n)
+    for i in range(n):
+        prods = np.sort(a[i] * q)
+        s = 0.0
+        for j in range(n):
+            s += prods[j]
+        aq[i] = s
+    pa = np.empty(n)
+    for j in range(n):
+        prods = np.sort(p * a[:, j])
+        s = 0.0
+        for i in range(n):
+            s += prods[i]
+        pa[j] = s
+    vprods = np.sort(p * aq)
+    v = 0.0
+    for i in range(n):
+        v += vprods[i]
+    return aq.max(), pa.min(), v
+
+
+def _lp_kernel_impl(ap, max_iter):
+    # Tableau columns: n decision vars, n slacks, rhs. All rhs start at 1.
+    n = ap.shape[0]
+    width = 2 * n + 1
+    t = np.zeros((n + 1, width))
+    for i in range(n):
+        for j in range(n):
+            t[i, j] = ap[i, j]
+        t[i, n + i] = 1.0
+        t[i, width - 1] = 1.0
+    for j in range(n):
+        t[n, j] = -1.0
+    basis = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        basis[i] = n + i
+
+    status = 0
+    iters = 0
+    while True:
+        enter = -1
+        for j in range(2 * n):
+            if t[n, j] < -RC_TOL:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = np.inf
+        for i in range(n):
+            if t[i, enter] > PIV_TOL:
+                ratio = t[i, width - 1] / t[i, enter]
+                if ratio < best - RATIO_TIE_TOL:
+                    best = ratio
+                    leave = i
+                elif leave >= 0 and abs(ratio - best) <= RATIO_TIE_TOL and basis[i] < basis[leave]:
+                    leave = i
+        if leave < 0:
+            status = 2  # unbounded: cannot happen for strictly positive ap
+            break
+        piv = t[leave, enter]
+        for j in range(width):
+            t[leave, j] /= piv
+        for i in range(n + 1):
+            if i == leave:
+                continue
+            f = t[i, enter]
+            for j in range(width):
+                t[i, j] -= f * t[leave, j]
+        basis[leave] = enter
+        iters += 1
+        if iters >= max_iter:
+            status = 1
+            break
+
+    y = np.zeros(n)
+    for i in range(n):
+        if basis[i] < n:
+            y[basis[i]] = t[i, width - 1]
+    duals = np.empty(n)
+    for i in range(n):
+        duals[i] = t[n, n + i]
+    degenerate = False
+    for j in range(2 * n):
+        in_basis = False
+        for i in range(n):
+            if basis[i] == j:
+                in_basis = True
+                break
+        if not in_basis and abs(t[n, j]) <= RC_TOL:
+            degenerate = True
+            break
+    return status, y, duals, t[n, width - 1], iters, degenerate
 
 
 def _random_instance(rng, n):
@@ -26,18 +116,6 @@ def _random_instance(rng, n):
     p = rng.dirichlet(np.ones(n))
     q = rng.dirichlet(np.ones(n))
     return a, p, q
-
-
-@needs_numba
-def test_exploit_terms_backends_agree_bitwise():
-    rng = np.random.default_rng(7)
-    for trial in range(300):
-        n = int(rng.integers(2, 12))
-        a, p, q = _random_instance(rng, n)
-        got_nb = K.exploit_terms_numba(a, p, q)
-        got_np = K.exploit_terms_numpy(a, p, q)
-        for x, y in zip(got_nb, got_np):
-            assert float(x) == float(y), f"trial {trial}: {got_nb} vs {got_np}"
 
 
 def test_exploit_terms_matches_direct_linear_algebra():
@@ -65,21 +143,6 @@ def test_exploit_terms_permutation_stable_bitwise():
         assert base == perm
 
 
-@needs_numba
-def test_lp_kernel_backends_agree_bitwise():
-    rng = np.random.default_rng(11)
-    for trial in range(200):
-        n = int(rng.integers(2, 10))
-        a = rng.normal(size=(n, n))
-        ap = a - a.min() + 1.0
-        s_nb, y_nb, d_nb, o_nb, i_nb, g_nb = K.lp_kernel_numba(ap, 10_000)
-        s_np, y_np, d_np, o_np, i_np, g_np = K.lp_kernel_numpy(ap, 10_000)
-        assert s_nb == s_np and i_nb == i_np and g_nb == g_np
-        assert y_nb.tobytes() == y_np.tobytes(), f"trial {trial}"
-        assert d_nb.tobytes() == d_np.tobytes()
-        assert float(o_nb) == float(o_np)
-
-
 def _parity_games():
     """Seeded integer, gaussian and sparse games at n = 2..20, plus padded
     games, whose dominated blocks give degenerate and tied ratio tests."""
@@ -101,8 +164,8 @@ def test_lp_kernel_numpy_matches_reference_bitwise():
     degenerate = 0
     for a in _parity_games():
         ap = a + (1.0 - a.min())
-        s_ref, y_ref, d_ref, o_ref, i_ref, g_ref = K._lp_kernel_impl(ap, 10_000)
-        s_np, y_np, d_np, o_np, i_np, g_np = K.lp_kernel_numpy(ap, 10_000)
+        s_ref, y_ref, d_ref, o_ref, i_ref, g_ref = _lp_kernel_impl(ap, 10_000)
+        s_np, y_np, d_np, o_np, i_np, g_np = K.lp_kernel(ap, 10_000)
         assert (s_np, i_np, g_np) == (s_ref, i_ref, g_ref), a
         assert y_np.tobytes() == y_ref.tobytes(), a
         assert d_np.tobytes() == d_ref.tobytes(), a
@@ -117,8 +180,8 @@ def test_exploit_terms_numpy_matches_reference_bitwise():
         n = a.shape[0]
         p = rng.dirichlet(np.ones(n))
         q = rng.dirichlet(np.ones(n))
-        ref = tuple(float(x).hex() for x in K._exploit_terms_impl(a, p, q))
-        got = tuple(float(x).hex() for x in K.exploit_terms_numpy(a, p, q))
+        ref = tuple(float(x).hex() for x in _exploit_terms_impl(a, p, q))
+        got = tuple(float(x).hex() for x in K.exploit_terms(a, p, q))
         assert got == ref, a
 
 
@@ -132,7 +195,7 @@ def test_exploit_terms_batch_matches_numpy_kernel_row_by_row():
         q[1] = np.eye(n)[-1]
         batch = K.exploit_terms_batch(a, p, q)
         for g in range(5):
-            ref = tuple(float(x).hex() for x in K.exploit_terms_numpy(a, p[g], q[g]))
+            ref = tuple(float(x).hex() for x in K.exploit_terms(a, p[g], q[g]))
             got = tuple(float(col[g]).hex() for col in batch)
             assert got == ref, (a, g)
 
@@ -154,26 +217,3 @@ def test_lp_kernel_iteration_cap_reports_status():
     ap = a - a.min() + 1.0
     status, *_ = K.lp_kernel(ap, 1)
     assert status == 1
-
-
-def _backend_in_subprocess(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("ZEROSUM_NUMBA", None)
-    else:
-        env["ZEROSUM_NUMBA"] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c", "from zerosum._kernels import backend_name; print(backend_name())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_numpy_backend():
-    assert _backend_in_subprocess("0") == "numpy"
-
-
-@needs_numba
-def test_default_backend_is_numba():
-    assert _backend_in_subprocess(None) == "numba"
-    assert _backend_in_subprocess("1") == "numba"

@@ -149,10 +149,6 @@ def build_prompt(
     return render(hi)
 
 
-def prompt_digest(prompt: str) -> str:
-    return content_digest(prompt)
-
-
 def _iter_json_objects(text: str):
     dec = json.JSONDecoder()
     idx = 0
@@ -411,7 +407,7 @@ class RemoteModelAgent:
 
     def propose(self, game, k: int) -> list[AgentResponse]:
         prompt = build_prompt(game, self.template)
-        psha = prompt_digest(prompt)
+        psha = content_digest(prompt)
         out = []
         for s in range(k):
             start = time.perf_counter()

@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: gen, pad, solve, eval, audit, pad-exp, verify-theorems,
-train-toy, report. Each accepts --config FILE holding key=value lines whose
-keys mirror the long flags; explicit flags win over config values.
+train-toy, report. Each command's options are declared once, as rows of the
+`_COMMANDS` table (key, cast, default, required, help); the parser, the help
+text, the config-file merge and the recorded config are all built from it.
+Each command accepts --config FILE holding key=value lines whose keys mirror
+the long flags; explicit flags win over config values, and config values win
+over defaults.
 
 Commands with randomness (gen, audit, pad-exp, verify-theorems, train-toy,
 and eval with a stochastic agent) require a seed, from the flag or config.
@@ -47,6 +51,8 @@ from .errors import (
 )
 from .gen import GameRecord, GameSpec, PaddedGameRecord, dominated_pad, random_pad, sample_game
 from .harness import (
+    DEFAULT_K,
+    DEFAULT_TAU,
     EvalResult,
     affine_invariance_audit,
     evaluate,
@@ -109,26 +115,25 @@ def _read_config(path: str) -> dict:
     return out
 
 
-class Resolved:
-    """Merges CLI flags over config-file values and records the result."""
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _read_config(args.config) if getattr(args, "config", None) else {}
-        self.values: dict = {}
 
-    def get(self, key, default=None, cast=None, required=False):
-        value = getattr(self.args, key, None)
+def _resolve(args: argparse.Namespace, options) -> dict:
+    """Each option from its flag, else the config file, else its default;
+    then the required check and the cast, in table order."""
+    config = _read_config(args.config) if args.config else {}
+    cfg = {}
+    for key, cast, default, required, _ in options:
+        value = getattr(args, key)
         if value is None:
-            value = self.config.get(key)
-        if value is None:
-            value = default
+            value = config.get(key, default)
         if value is None and required:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
+            raise ConfigError(f"missing required option {_flag(key)}")
         if value is not None and cast is not None:
             value = cast(value, key)
-        self.values[key] = value
-        return value
+        cfg[key] = value
+    return cfg
 
 
 def _digest_file(path: str) -> str:
@@ -139,13 +144,14 @@ def _digest_file(path: str) -> str:
     return h.hexdigest()[:16]
 
 
-def _write_manifest(command: str, res: Resolved, seeds: dict, inputs, outputs):
-    out = res.values.get("out")
+def _write_manifest(command: str, cfg: dict, inputs, outputs):
+    out = cfg["out"]
     if not out:
         return
     # the id names the logical run: it hashes everything except where the
     # output happened to be written, so reruns share an id
-    core_config = {k: v for k, v in res.values.items() if k != "out"}
+    core_config = {k: v for k, v in cfg.items() if k != "out"}
+    seeds = {} if cfg.get("seed") is None else {"seed": cfg["seed"]}
     core = {"command": command, "config": core_config, "seeds": seeds, "version": VERSION}
     manifest = {
         "schema": "manifest/1",
@@ -160,9 +166,9 @@ def _write_manifest(command: str, res: Resolved, seeds: dict, inputs, outputs):
         fh.write(canonical_json(manifest) + "\n")
 
 
-def _emit(res: Resolved, payload: dict) -> list:
+def _emit(cfg: dict, payload: dict) -> list:
     """Write payload JSON to --out, or pretty-print when --out is absent."""
-    out = res.values.get("out")
+    out = cfg["out"]
     if out:
         with open(out, "w") as fh:
             fh.write(canonical_json(payload) + "\n")
@@ -226,35 +232,25 @@ def _matching_pennies_record():
     return types.SimpleNamespace(n=2, matrix=matrix, id="matching-pennies")
 
 
-def cmd_gen(res: Resolved) -> int:
-    n = res.get("n", cast=_as_int, required=True)
-    count = res.get("count", default=100, cast=_as_int)
-    dist = res.get("dist", default="integer")
-    seed = res.get("seed", cast=_as_int, required=True)
-    density = res.get("density", default=0.2, cast=_as_float)
-    normalize = res.get("normalize", default=True, cast=_as_bool)
-    out = res.get("out", required=True)
+def cmd_gen(cfg: dict) -> int:
+    n, count, dist, out = cfg["n"], cfg["count"], cfg["dist"], cfg["out"]
     records = []
     for i in range(count):
         spec = GameSpec(
-            n=n, distribution=dist, seed=child_seed(seed, n, i),
-            normalize=normalize, sparse_density=density,
+            n=n, distribution=dist, seed=child_seed(cfg["seed"], n, i),
+            normalize=cfg["normalize"], sparse_density=cfg["density"],
         )
         records.append(sample_game(spec))
     with open(out, "w") as fh:
         for rec in records:
             fh.write(canonical_json(rec.to_json_dict()) + "\n")
-    _write_manifest("gen", res, {"seed": seed}, [], [out])
+    _write_manifest("gen", cfg, [], [out])
     print(f"wrote {count} games (n={n}, {dist}) to {out}")
     return 0
 
 
-def cmd_pad(res: Resolved) -> int:
-    src = res.get("in", required=True)
-    kind = res.get("kind", required=True)
-    target = res.get("target_n", cast=_as_int, required=True)
-    shuffle = res.get("shuffle", default=False, cast=_as_bool)
-    out = res.get("out", required=True)
+def cmd_pad(cfg: dict) -> int:
+    src, kind, target, out = cfg["in"], cfg["kind"], cfg["target_n"], cfg["out"]
     if kind not in ("dominated", "random"):
         raise ConfigError(f"pad kind must be dominated or random, got {kind!r}")
     bases = _load_records(src)
@@ -263,21 +259,19 @@ def cmd_pad(res: Resolved) -> int:
         if not isinstance(rec, GameRecord):
             raise ConfigError("pad input must contain plain game records")
         if kind == "dominated":
-            padded.append(dominated_pad(rec, target, shuffle=shuffle))
+            padded.append(dominated_pad(rec, target, shuffle=cfg["shuffle"]))
         else:
             padded.append(random_pad(rec, target))
     with open(out, "w") as fh:
         for rec in padded:
             fh.write(canonical_json(rec.to_json_dict()) + "\n")
-    _write_manifest("pad", res, {}, [src], [out])
+    _write_manifest("pad", cfg, [src], [out])
     print(f"wrote {len(padded)} {kind}-padded games (n={target}) to {out}")
     return 0
 
 
-def cmd_solve(res: Resolved) -> int:
-    src = res.get("in", required=True)
-    method = res.get("method", default="lp")
-    out = res.get("out")
+def cmd_solve(cfg: dict) -> int:
+    src, method, out = cfg["in"], cfg["method"], cfg["out"]
     if method not in ("lp", "support", "both"):
         raise ConfigError(f"method must be lp, support or both, got {method!r}")
     records = _load_records(src)
@@ -337,25 +331,16 @@ def cmd_solve(res: Resolved) -> int:
         outputs = [out]
     if method == "both":
         print(f"routes agree on {len(rows)} games (worst value gap {worst_gap:.3e})")
-    _write_manifest("solve", res, {}, [src], outputs)
+    _write_manifest("solve", cfg, [src], outputs)
     return 0
 
 
-def cmd_eval(res: Resolved) -> int:
-    src = res.get("in", required=True)
-    agent_spec = res.get("agent", required=True)
-    k = res.get("k", default=4, cast=_as_int)
-    tau = res.get("tau", default=0.10, cast=_as_float)
-    seed = res.get("seed", cast=_as_int)
-    jobs = res.get("jobs", default=1, cast=_as_int)
-    audit_log = res.get("audit_log")
-    rescore_path = res.get("rescore")
-    condition = res.get("condition", default="")
-    res.get("out")
+def cmd_eval(cfg: dict) -> int:
+    src, tau, rescore_path = cfg["in"], cfg["tau"], cfg["rescore"]
     games = _load_records(src)
     dists = {g.spec.distribution for g in games if isinstance(g, GameRecord)}
     dist_label = dists.pop() if len(dists) == 1 else ""
-    agent = _agent_from_spec(agent_spec, seed, audit_log=audit_log)
+    agent = _agent_from_spec(cfg["agent"], cfg["seed"], audit_log=cfg["audit_log"])
     if rescore_path:
         try:
             with open(rescore_path) as fh:
@@ -364,17 +349,16 @@ def cmd_eval(res: Resolved) -> int:
             raise ConfigError(f"cannot read {rescore_path}: {exc}") from None
         result = rescore(prior, games)
         identical = result.to_json_dict() == prior.to_json_dict()
-        outputs = _emit(res, result.to_json_dict())
-        _write_manifest("eval", res, {"seed": seed} if seed is not None else {},
-                        [src, rescore_path], outputs)
+        outputs = _emit(cfg, result.to_json_dict())
+        _write_manifest("eval", cfg, [src, rescore_path], outputs)
         if not identical:
             raise VerificationError("rescore does not reproduce the stored result")
         print("rescore reproduced the stored result exactly")
         return 0
-    result = evaluate(agent, games, k=k, tau=tau, jobs=jobs,
-                      condition=condition, distribution=dist_label)
-    outputs = _emit(res, result.to_json_dict())
-    _write_manifest("eval", res, {"seed": seed} if seed is not None else {}, [src], outputs)
+    result = evaluate(agent, games, k=cfg["k"], tau=tau, jobs=cfg["jobs"],
+                      condition=cfg["condition"], distribution=dist_label)
+    outputs = _emit(cfg, result.to_json_dict())
+    _write_manifest("eval", cfg, [src], outputs)
     print(
         f"{result.agent} on {result.count} games (n={result.n}): "
         f"s@{tau:g}={result.s_at_tau:.3f} ±{result.se_s:.3f} "
@@ -389,24 +373,20 @@ def cmd_eval(res: Resolved) -> int:
     return 0
 
 
-def cmd_audit(res: Resolved) -> int:
-    src = res.get("in", required=True)
-    agent_spec = res.get("agent", default="uniform")
-    kind = res.get("kind", default="both")
-    seed = res.get("seed", cast=_as_int, required=True)
-    res.get("out")
+def cmd_audit(cfg: dict) -> int:
+    src, kind, seed = cfg["in"], cfg["kind"], cfg["seed"]
     if kind not in ("permutation", "affine", "both"):
         raise ConfigError(f"audit kind must be permutation, affine or both, got {kind!r}")
     games = _load_records(src)
-    agent = _agent_from_spec(agent_spec, seed)
+    agent = _agent_from_spec(cfg["agent"], seed)
     reports = []
     if kind in ("permutation", "both"):
         reports.append(permutation_equivariance_audit(agent, games, seed=seed))
     if kind in ("affine", "both"):
         reports.append(affine_invariance_audit(agent, games, seed=seed))
     payload = {"schema": "audit/1", "reports": [r.to_json_dict() for r in reports]}
-    outputs = _emit(res, payload)
-    _write_manifest("audit", res, {"seed": seed}, [src], outputs)
+    outputs = _emit(cfg, payload)
+    _write_manifest("audit", cfg, [src], outputs)
     for r in reports:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.kind}: max |diff| = {r.max_abs_diff:.3e} "
               f"over {r.trials} games ({r.invalid} invalid, tol {r.tol:g})")
@@ -415,32 +395,21 @@ def cmd_audit(res: Resolved) -> int:
     return 0
 
 
-def cmd_pad_exp(res: Resolved) -> int:
-    agent_spec = res.get("agent", required=True)
-    base_n = res.get("base_n", default=3, cast=_as_int)
-    targets_raw = res.get("targets", default="8,12,15,20")
-    count = res.get("count", default=50, cast=_as_int)
-    k = res.get("k", default=4, cast=_as_int)
-    tau = res.get("tau", default=0.10, cast=_as_float)
-    seed = res.get("seed", cast=_as_int, required=True)
-    jobs = res.get("jobs", default=1, cast=_as_int)
-    res.get("out")
-    targets = tuple(_as_int(t.strip(), "targets") for t in str(targets_raw).split(","))
-    agent = _agent_from_spec(agent_spec, seed)
+def cmd_pad_exp(cfg: dict) -> int:
+    targets = tuple(_as_int(t.strip(), "targets") for t in str(cfg["targets"]).split(","))
+    agent = _agent_from_spec(cfg["agent"], cfg["seed"])
     report = padding_cliff_experiment(
-        agent, base_n=base_n, targets=targets, count=count, k=k, tau=tau,
-        seed=seed, jobs=jobs,
+        agent, base_n=cfg["base_n"], targets=targets, count=cfg["count"], k=cfg["k"],
+        tau=cfg["tau"], seed=cfg["seed"], jobs=cfg["jobs"],
     )
-    outputs = _emit(res, report.to_json_dict())
-    _write_manifest("pad-exp", res, {"seed": seed}, [], outputs)
-    print(_render_padexp_table(report.to_json_dict()))
+    outputs = _emit(cfg, report.to_json_dict())
+    _write_manifest("pad-exp", cfg, [], outputs)
+    print(_padexp_table(report.to_json_dict()))
     return 0
 
 
-def cmd_verify_theorems(res: Resolved) -> int:
-    trials = res.get("trials", default=400, cast=_as_int)
-    seed = res.get("seed", cast=_as_int, required=True)
-    res.get("out")
+def cmd_verify_theorems(cfg: dict) -> int:
+    trials, seed = cfg["trials"], cfg["seed"]
     checks = []
     lip = check_residual_lipschitz(trials=trials, seed=seed)
     checks.append(("residual bound", lip.ok,
@@ -465,8 +434,8 @@ def cmd_verify_theorems(res: Resolved) -> int:
         "all_ok": all(ok for _, ok, _, _ in checks),
         "checks": [c[3] for c in checks],
     }
-    outputs = _emit(res, payload)
-    _write_manifest("verify-theorems", res, {"seed": seed}, [], outputs)
+    outputs = _emit(cfg, payload)
+    _write_manifest("verify-theorems", cfg, [], outputs)
     for name, ok, detail, _ in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     if not payload["all_ok"]:
@@ -474,18 +443,8 @@ def cmd_verify_theorems(res: Resolved) -> int:
     return 0
 
 
-def cmd_train_toy(res: Resolved) -> int:
-    mode = res.get("mode", default="cooperative")
-    steps = res.get("steps", default=500, cast=_as_int)
-    seed = res.get("seed", cast=_as_int, required=True)
-    lr = res.get("lr", default=1.0, cast=_as_float)
-    group_size = res.get("group_size", default=8, cast=_as_int)
-    grid_m = res.get("grid_m", default=11, cast=_as_int)
-    kl_coef = res.get("kl_coef", default=0.0, cast=_as_float)
-    accumulate = res.get("accumulate_groups", default=1, cast=_as_int)
-    src = res.get("in")
-    index = res.get("index", default=0, cast=_as_int)
-    res.get("out")
+def cmd_train_toy(cfg: dict) -> int:
+    mode, src, index = cfg["mode"], cfg["in"], cfg["index"]
     if src:
         records = _load_records(src)
         if not 0 <= index < len(records):
@@ -493,10 +452,10 @@ def cmd_train_toy(res: Resolved) -> int:
         game = records[index]
     else:
         game = _matching_pennies_record()
-    policy = ToyPolicy(grid_m=grid_m, learning_rate=lr, group_size=group_size,
-                       kl_coef=kl_coef)
-    result = toy_grpo_train(game, policy, mode=mode, steps=steps, seed=seed,
-                            accumulate_groups=accumulate)
+    policy = ToyPolicy(grid_m=cfg["grid_m"], learning_rate=cfg["lr"],
+                       group_size=cfg["group_size"], kl_coef=cfg["kl_coef"])
+    result = toy_grpo_train(game, policy, mode=mode, steps=cfg["steps"], seed=cfg["seed"],
+                            accumulate_groups=cfg["accumulate_groups"])
     payload = {
         "schema": "traintoy/1",
         "mode": result.mode,
@@ -515,8 +474,8 @@ def cmd_train_toy(res: Resolved) -> int:
             for t in result.trace
         ],
     }
-    outputs = _emit(res, payload)
-    _write_manifest("train-toy", res, {"seed": seed}, [src] if src else [], outputs)
+    outputs = _emit(cfg, payload)
+    _write_manifest("train-toy", cfg, [src] if src else [], outputs)
     print(
         f"{mode}: {result.steps_run} steps, window exploit "
         f"{result.first_window_mean_exploit:.4f} -> {result.final_window_mean_exploit:.4f}, "
@@ -525,64 +484,35 @@ def cmd_train_toy(res: Resolved) -> int:
     return 0
 
 
-def _fmt_cell(value, se) -> str:
-    if value is None:
-        return "--"
-    return f"{value:.2f} ±{se:.2f}"
-
-
-def _render_eval_table(results: list) -> str:
-    sizes = sorted({r["n"] for r in results})
-    agents = []
-    for r in results:
-        if r["agent"] not in agents:
-            agents.append(r["agent"])
-    cells = {}
-    for r in results:
-        cells[(r["agent"], r["n"])] = (r["s_at_tau"], r["se_s"])
-    tau = results[0]["tau"]
+def _markdown_table(title: str, label: str, sizes, cells: dict) -> str:
+    """One row per name, in first-seen order, of cells keyed (name, n)."""
     lines = [
-        f"success rate s@{tau:g} (± one standard error)",
+        title,
         "",
-        "| agent | " + " | ".join(f"n={n}" for n in sizes) + " |",
+        f"| {label} | " + " | ".join(f"n={n}" for n in sizes) + " |",
         "|" + "---|" * (len(sizes) + 1),
     ]
-    for agent in agents:
-        row = [agent]
+    for name in dict.fromkeys(name for name, _ in cells):
+        row = [name]
         for n in sizes:
-            got = cells.get((agent, n))
-            row.append(_fmt_cell(*got) if got else "--")
+            value, se = cells.get((name, n), (None, None))
+            row.append("--" if value is None else f"{value:.2f} ±{se:.2f}")
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
 
 
-def _render_padexp_table(report: dict) -> str:
-    sizes = [report["base_n"], *report["targets"]]
-    conditions = []
-    for row in report["rows"]:
-        if row["condition"] not in conditions:
-            conditions.append(row["condition"])
-    cells = {(r["condition"], r["n"]): (r["s_at_tau"], r["se"]) for r in report["rows"]}
-    lines = [
+def _padexp_table(report: dict) -> str:
+    return _markdown_table(
         f"s@{report['tau']:g} by padding condition "
         f"({report['count']} games, best of {report['k']})",
-        "",
-        "| condition | " + " | ".join(f"n={n}" for n in sizes) + " |",
-        "|" + "---|" * (len(sizes) + 1),
-    ]
-    for cond in conditions:
-        row = [cond]
-        for n in sizes:
-            got = cells.get((cond, n))
-            row.append(_fmt_cell(*got) if got else "--")
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
+        "condition",
+        [report["base_n"], *report["targets"]],
+        {(r["condition"], r["n"]): (r["s_at_tau"], r["se"]) for r in report["rows"]},
+    )
 
 
-def cmd_report(res: Resolved) -> int:
-    raw = res.get("in", required=True)
-    paths = [p.strip() for p in str(raw).split(",") if p.strip()]
-    res.get("out")
+def cmd_report(cfg: dict) -> int:
+    paths = [p.strip() for p in str(cfg["in"]).split(",") if p.strip()]
     eval_rows = []
     blocks = []
     for path in paths:
@@ -597,21 +527,110 @@ def cmd_report(res: Resolved) -> int:
         if schema == "evalres/1":
             eval_rows.append(payload)
         elif schema == "padexp/1":
-            blocks.append(_render_padexp_table(payload))
+            blocks.append(_padexp_table(payload))
         else:
             raise ConfigError(f"{path}: cannot report on schema {schema!r}")
     if eval_rows:
-        blocks.insert(0, _render_eval_table(eval_rows))
+        blocks.insert(0, _markdown_table(
+            f"success rate s@{eval_rows[0]['tau']:g} (± one standard error)",
+            "agent",
+            sorted({r["n"] for r in eval_rows}),
+            {(r["agent"], r["n"]): (r["s_at_tau"], r["se_s"]) for r in eval_rows},
+        ))
     text = "\n\n".join(blocks) + "\n"
-    out = res.values.get("out")
+    out = cfg["out"]
     outputs = []
     if out:
         with open(out, "w") as fh:
             fh.write(text)
         outputs = [out]
-        _write_manifest("report", res, {}, paths, outputs)
+        _write_manifest("report", cfg, paths, outputs)
     print(text, end="")
     return 0
+
+
+# one row per option: (key, cast, default, required, help); the flag is
+# --key with "_" written as "-", and the help gains "(required)" or "(default X)"
+_SEED = ("seed", _as_int, None, True, "root seed")
+_K = ("k", _as_int, DEFAULT_K, False, "samples per game")
+_TAU = ("tau", _as_float, DEFAULT_TAU, False, "success threshold")
+_JOBS = ("jobs", _as_int, 1, False, "parallel games")
+
+_COMMANDS = {
+    "gen": (cmd_gen, "generate a game set", [
+        ("n", _as_int, None, True, "matrix size"),
+        ("count", _as_int, 100, False, "number of games"),
+        ("dist", None, "integer", False, "integer|gaussian|sparse"),
+        _SEED,
+        ("density", _as_float, 0.2, False, "sparse nonzero rate"),
+        ("normalize", _as_bool, True, False, "true|false"),
+        ("out", None, None, True, "output JSONL path"),
+    ]),
+    "pad": (cmd_pad, "embed games in larger matrices", [
+        ("in", None, None, True, "base games JSONL"),
+        ("kind", None, None, True, "dominated|random"),
+        ("target_n", _as_int, None, True, "padded size"),
+        ("shuffle", _as_bool, False, False, "true|false: permute padded positions (dominated)"),
+        ("out", None, None, True, "output JSONL path"),
+    ]),
+    "solve": (cmd_solve, "solve games and cross-check routes", [
+        ("in", None, None, True, "games JSONL"),
+        ("method", None, "lp", False, "lp|support|both"),
+        ("out", None, None, False, "optional solutions JSONL"),
+    ]),
+    "eval": (cmd_eval, "score an agent on a game set", [
+        ("in", None, None, True, "games JSONL"),
+        ("agent", None, None, True, "uniform|maximin|oracle|noisy:SIGMA|block:K|remote:CFG"),
+        _K,
+        _TAU,
+        ("seed", _as_int, None, False, "seed for stochastic agents"),
+        _JOBS,
+        ("audit_log", None, None, False, "remote I/O JSONL path"),
+        ("rescore", None, None, False, "recompute a stored result from raw texts"),
+        ("condition", None, "", False, "label recorded in the result"),
+        ("out", None, None, False, "result JSON path"),
+    ]),
+    "audit": (cmd_audit, "metric invariance audits", [
+        ("in", None, None, True, "games JSONL"),
+        ("agent", None, "uniform", False, "probe agent"),
+        ("kind", None, "both", False, "permutation|affine|both"),
+        _SEED,
+        ("out", None, None, False, "report JSON path"),
+    ]),
+    "pad-exp": (cmd_pad_exp, "padding-cliff experiment", [
+        ("agent", None, None, True, "agent spec"),
+        ("base_n", _as_int, 3, False, "base size"),
+        ("targets", None, "8,12,15,20", False, "comma list of padded sizes"),
+        ("count", _as_int, 50, False, "games per condition"),
+        _K,
+        _TAU,
+        _SEED,
+        _JOBS,
+        ("out", None, None, False, "report JSON path"),
+    ]),
+    "verify-theorems": (cmd_verify_theorems, "run the structural checks", [
+        ("trials", _as_int, 400, False, "random trials per check"),
+        _SEED,
+        ("out", None, None, False, "report JSON path"),
+    ]),
+    "train-toy": (cmd_train_toy, "toy self-play trainer", [
+        ("mode", None, "cooperative", False, "cooperative|role_merged"),
+        ("steps", _as_int, 500, False, "training steps"),
+        _SEED,
+        ("lr", _as_float, 1.0, False, "learning rate"),
+        ("group_size", _as_int, 8, False, "episodes per group"),
+        ("grid_m", _as_int, 11, False, "strategy grid points"),
+        ("kl_coef", _as_float, 0.0, False, "pull toward the initial policy"),
+        ("accumulate_groups", _as_int, 1, False, "groups per update"),
+        ("in", None, None, False, "optional games JSONL (2x2 only)"),
+        ("index", _as_int, 0, False, "record index within --in"),
+        ("out", None, None, False, "trace JSON path"),
+    ]),
+    "report": (cmd_report, "render results as markdown tables", [
+        ("in", None, None, True, "comma list of result JSON files"),
+        ("out", None, None, False, "markdown output path"),
+    ]),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -621,109 +640,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, flags):
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        for flag, kw in flags:
-            p.add_argument(flag, **kw)
-        return p
-
-    add("gen", "generate a game set", [
-        ("--n", {"help": "matrix size"}),
-        ("--count", {"help": "number of games (default 100)"}),
-        ("--dist", {"help": "integer|gaussian|sparse (default integer)"}),
-        ("--seed", {"help": "root seed (required)"}),
-        ("--density", {"help": "sparse nonzero rate (default 0.2)"}),
-        ("--normalize", {"help": "true|false (default true)"}),
-        ("--out", {"help": "output JSONL path (required)"}),
-    ])
-    add("pad", "embed games in larger matrices", [
-        ("--in", {"dest": "in", "help": "base games JSONL"}),
-        ("--kind", {"help": "dominated|random"}),
-        ("--target-n", {"dest": "target_n", "help": "padded size"}),
-        ("--shuffle", {"help": "true|false: permute padded positions (dominated)"}),
-        ("--out", {"help": "output JSONL path (required)"}),
-    ])
-    add("solve", "solve games and cross-check routes", [
-        ("--in", {"dest": "in", "help": "games JSONL"}),
-        ("--method", {"help": "lp|support|both (default lp)"}),
-        ("--out", {"help": "optional solutions JSONL"}),
-    ])
-    add("eval", "score an agent on a game set", [
-        ("--in", {"dest": "in", "help": "games JSONL"}),
-        ("--agent", {"help": "uniform|maximin|oracle|noisy:SIGMA|block:K|remote:CFG"}),
-        ("--k", {"help": "samples per game (default 4)"}),
-        ("--tau", {"help": "success threshold (default 0.10)"}),
-        ("--seed", {"help": "seed for stochastic agents"}),
-        ("--jobs", {"help": "parallel games (default 1)"}),
-        ("--audit-log", {"dest": "audit_log", "help": "remote I/O JSONL path"}),
-        ("--rescore", {"help": "recompute a stored result from raw texts"}),
-        ("--condition", {"help": "label recorded in the result"}),
-        ("--out", {"help": "result JSON path"}),
-    ])
-    add("audit", "metric invariance audits", [
-        ("--in", {"dest": "in", "help": "games JSONL"}),
-        ("--agent", {"help": "probe agent (default uniform)"}),
-        ("--kind", {"help": "permutation|affine|both (default both)"}),
-        ("--seed", {"help": "root seed (required)"}),
-        ("--out", {"help": "report JSON path"}),
-    ])
-    add("pad-exp", "padding-cliff experiment", [
-        ("--agent", {"help": "agent spec"}),
-        ("--base-n", {"dest": "base_n", "help": "base size (default 3)"}),
-        ("--targets", {"help": "comma list of padded sizes (default 8,12,15,20)"}),
-        ("--count", {"help": "games per condition (default 50)"}),
-        ("--k", {"help": "samples per game (default 4)"}),
-        ("--tau", {"help": "success threshold (default 0.10)"}),
-        ("--seed", {"help": "root seed (required)"}),
-        ("--jobs", {"help": "parallel games (default 1)"}),
-        ("--out", {"help": "report JSON path"}),
-    ])
-    add("verify-theorems", "run the structural checks", [
-        ("--trials", {"help": "random trials per check (default 400)"}),
-        ("--seed", {"help": "root seed (required)"}),
-        ("--out", {"help": "report JSON path"}),
-    ])
-    add("train-toy", "toy self-play trainer", [
-        ("--mode", {"help": "cooperative|role_merged (default cooperative)"}),
-        ("--steps", {"help": "training steps (default 500)"}),
-        ("--seed", {"help": "root seed (required)"}),
-        ("--lr", {"help": "learning rate (default 1.0)"}),
-        ("--group-size", {"dest": "group_size", "help": "episodes per group (default 8)"}),
-        ("--grid-m", {"dest": "grid_m", "help": "strategy grid points (default 11)"}),
-        ("--kl-coef", {"dest": "kl_coef", "help": "pull toward the initial policy"}),
-        ("--accumulate-groups", {"dest": "accumulate_groups",
-                                 "help": "groups per update (default 1)"}),
-        ("--in", {"dest": "in", "help": "optional games JSONL (2x2 only)"}),
-        ("--index", {"help": "record index within --in (default 0)"}),
-        ("--out", {"help": "trace JSON path"}),
-    ])
-    add("report", "render results as markdown tables", [
-        ("--in", {"dest": "in", "help": "comma list of result JSON files"}),
-        ("--out", {"help": "markdown output path"}),
-    ])
+        for key, _, default, required, text in options:
+            if required:
+                text += " (required)"
+            elif default not in (None, ""):
+                shown = str(default).lower() if isinstance(default, bool) else default
+                text += f" (default {shown})"
+            p.add_argument(_flag(key), dest=key, help=text)
     return parser
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "pad": cmd_pad,
-    "solve": cmd_solve,
-    "eval": cmd_eval,
-    "audit": cmd_audit,
-    "pad-exp": cmd_pad_exp,
-    "verify-theorems": cmd_verify_theorems,
-    "train-toy": cmd_train_toy,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, _, options = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](Resolved(args))
+        return handler(_resolve(args, options))
     except TransportExhausted as exc:
         print(f"transport exhausted: {exc}", file=sys.stderr)
         return 4

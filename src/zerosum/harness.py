@@ -22,6 +22,9 @@ from .errors import ContractViolation
 from .gen import GameSpec, dominated_pad, random_pad, sample_game
 from .rng import child_seed, generator
 
+DEFAULT_K = 4
+DEFAULT_TAU = 0.10
+
 
 def binomial_se(p: float, n: int) -> float:
     """Standard error of a proportion: sqrt(p(1-p)/n)."""
@@ -205,8 +208,8 @@ def _aggregate(agent_name, games, results, k, tau, condition, distribution) -> E
 def evaluate(
     agent,
     games,
-    k: int = 4,
-    tau: float = 0.10,
+    k: int = DEFAULT_K,
+    tau: float = DEFAULT_TAU,
     jobs: int = 1,
     condition: str = "",
     distribution: str = "",
@@ -407,8 +410,8 @@ def padding_cliff_experiment(
     base_n: int = 3,
     targets: tuple[int, ...] = (8, 12, 15, 20),
     count: int = 50,
-    k: int = 4,
-    tau: float = 0.10,
+    k: int = DEFAULT_K,
+    tau: float = DEFAULT_TAU,
     seed: int = 0,
     jobs: int = 1,
 ) -> PaddingCliffReport:

@@ -27,13 +27,13 @@ from zerosum import (
     dominated_pad,
     extract_matrix,
     parse_response,
-    prompt_digest,
     raw_exploit,
     sample_game,
     serialize_pair,
     solve_zero_sum_lp,
     uniform_pair,
 )
+from zerosum.core import content_digest
 
 GAME = sample_game(GameSpec(n=2, distribution="integer", seed=0))
 GAME3 = sample_game(GameSpec(n=3, distribution="integer", seed=1))
@@ -172,7 +172,7 @@ class TestPrompts:
         assert p.endswith("end")
 
     def test_digest_is_stable(self):
-        assert prompt_digest(build_prompt(GAME)) == prompt_digest(build_prompt(GAME))
+        assert content_digest(build_prompt(GAME)) == content_digest(build_prompt(GAME))
 
 
 class TestBuiltinAgents:
@@ -316,7 +316,7 @@ class TestRemoteAgent:
         rows = [json.loads(line) for line in audit.read_text().splitlines()]
         assert len(rows) == 3
         assert rows[0]["game_id"] == GAME.id
-        assert rows[0]["prompt_sha"] == prompt_digest(build_prompt(GAME))
+        assert rows[0]["prompt_sha"] == content_digest(build_prompt(GAME))
         assert [r["sample_index"] for r in rows] == [0, 1, 2]
         assert all(r["parse_error"] is None for r in rows)
         assert all(r["latency"] >= 0 for r in rows)

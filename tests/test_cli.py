@@ -1,12 +1,15 @@
 """End-to-end command-line checks through real subprocesses: artifact
 formats, manifests, reruns, exit codes. The `run` helper puts the repo's
 absolute `src/` first on the child's PYTHONPATH, so the CLI under test is
-this checkout's, with or without an installed zerosum."""
+this checkout's, with or without an installed zerosum. The checks at the end
+call `cli.main` in process: pinned manifest ids and option resolution."""
 
 import json
 import os
 import subprocess
 import sys
+
+from zerosum import cli
 
 
 CLI = [sys.executable, "-m", "zerosum.cli"]
@@ -246,3 +249,120 @@ class TestVersionAndInput:
         (tmp_path / "bad.jsonl").write_text('{"schema": "gamerec/1", "id": "x"}\n')
         res = run("solve", "--in", "bad.jsonl", cwd=tmp_path)
         assert res.returncode == 2
+
+
+# In-process checks of option resolution and of the manifest id. The id
+# hashes (command, resolved config, seeds, version), so these pins fail if a
+# command records a different key, value, default or seed set.
+
+PINNED_RUNS = [
+    (["gen", "--n", 3, "--count", 4, "--seed", 7, "--out", "g.jsonl"],
+     "cc2892d6c74a2087",
+     {"count": 4, "density": 0.2, "dist": "integer", "n": 3, "normalize": True,
+      "seed": 7}),
+    (["gen", "--config", "gen.cfg", "--out", "g_cfg.jsonl"],
+     "cc2892d6c74a2087",
+     {"count": 4, "density": 0.2, "dist": "integer", "n": 3, "normalize": True,
+      "seed": 7}),
+    (["pad", "--in", "g.jsonl", "--kind", "dominated", "--target-n", 5,
+      "--out", "padded.jsonl"],
+     "0ba7dfb399c8f797",
+     {"in": "g.jsonl", "kind": "dominated", "shuffle": False, "target_n": 5}),
+    (["solve", "--in", "g.jsonl", "--method", "both", "--out", "sol.jsonl"],
+     "3890c7c53d3e642c",
+     {"in": "g.jsonl", "method": "both"}),
+    (["eval", "--in", "g.jsonl", "--agent", "noisy:0.3", "--seed", 5,
+      "--out", "noisy.json"],
+     "cdad70d95aec6de9",
+     {"agent": "noisy:0.3", "audit_log": None, "condition": "", "in": "g.jsonl",
+      "jobs": 1, "k": 4, "rescore": None, "seed": 5, "tau": 0.1}),
+    (["eval", "--in", "g.jsonl", "--agent", "oracle", "--out", "oracle.json"],
+     "21336eda31e16b50",
+     {"agent": "oracle", "audit_log": None, "condition": "", "in": "g.jsonl",
+      "jobs": 1, "k": 4, "rescore": None, "seed": None, "tau": 0.1}),
+    (["eval", "--in", "g.jsonl", "--agent", "noisy:0.3", "--seed", 5,
+      "--rescore", "noisy.json", "--out", "rescored.json"],
+     "ee229ae5e384a81d",
+     {"agent": "noisy:0.3", "audit_log": None, "condition": "", "in": "g.jsonl",
+      "jobs": 1, "k": 4, "rescore": "noisy.json", "seed": 5, "tau": 0.1}),
+    (["audit", "--in", "g.jsonl", "--agent", "oracle", "--seed", 5,
+      "--out", "audit.json"],
+     "6a5bd75f2655fb8d",
+     {"agent": "oracle", "in": "g.jsonl", "kind": "both", "seed": 5}),
+    (["pad-exp", "--agent", "block:2", "--base-n", 2, "--targets", "4,6",
+      "--count", 3, "--k", 1, "--seed", 13, "--out", "cliff.json"],
+     "32ae2f01bc092332",
+     {"agent": "block:2", "base_n": 2, "count": 3, "jobs": 1, "k": 1, "seed": 13,
+      "targets": "4,6", "tau": 0.1}),
+    (["verify-theorems", "--trials", 20, "--seed", 3, "--out", "thm.json"],
+     "02d3851d4827d430",
+     {"seed": 3, "trials": 20}),
+    (["train-toy", "--mode", "role_merged", "--steps", 5, "--seed", 9,
+      "--out", "train.json"],
+     "679d0b35626667b2",
+     {"accumulate_groups": 1, "grid_m": 11, "group_size": 8, "in": None,
+      "index": 0, "kl_coef": 0.0, "lr": 1.0, "mode": "role_merged", "seed": 9,
+      "steps": 5}),
+    (["report", "--in", "oracle.json,cliff.json", "--out", "report.md"],
+     "56c6715d02e5fb8a",
+     {"in": "oracle.json,cliff.json"}),
+]
+
+
+def cli_main(*args):
+    return cli.main([str(a) for a in args])
+
+
+def read_manifest(path):
+    with open(str(path) + ".manifest.json") as fh:
+        return json.load(fh)
+
+
+def test_manifest_ids_and_configs_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gen.cfg").write_text("n=3\ncount=4\nseed=7\n")
+    for argv, want_id, want_config in PINNED_RUNS:
+        assert cli_main(*argv) == 0, capsys.readouterr().err
+        manifest = read_manifest(argv[argv.index("--out") + 1])
+        assert (manifest["command"], manifest["id"]) == (argv[0], want_id)
+        assert manifest["config"] == want_config
+        seed = want_config.get("seed")
+        assert manifest["seeds"] == ({} if seed is None else {"seed": seed})
+
+
+class TestOptionResolution:
+    """Each bad or missing value fails the same way from a flag and from a
+    config file."""
+
+    def gen(self, tmp_path, flags, config_lines=()):
+        (tmp_path / "opts.cfg").write_text("".join(f"{l}\n" for l in config_lines))
+        return cli_main("gen", "--n", 3, "--seed", 1, "--out", "x.jsonl",
+                        "--config", "opts.cfg", *flags)
+
+    def test_count_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for flags, lines in ((["--count", "abc"], []), ([], ["count=abc"])):
+            assert self.gen(tmp_path, flags, lines) == 2
+            assert "count must be an integer" in capsys.readouterr().err
+
+    def test_normalize_no_records_false(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for flags, lines in ((["--normalize", "no"], []), ([], ["normalize=no"])):
+            assert self.gen(tmp_path, ["--count", 2, *flags], lines) == 0, \
+                capsys.readouterr().err
+            assert read_manifest("x.jsonl")["config"]["normalize"] is False
+
+    def test_normalize_maybe_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for flags, lines in ((["--normalize", "maybe"], []), ([], ["normalize=maybe"])):
+            assert self.gen(tmp_path, ["--count", 2, *flags], lines) == 2
+            assert "normalize must be a boolean" in capsys.readouterr().err
+
+    def test_pad_without_target_n(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert self.gen(tmp_path, ["--count", 2]) == 0
+        (tmp_path / "pad.cfg").write_text("in=x.jsonl\nkind=dominated\nout=p.jsonl\n")
+        for argv in (["pad", "--in", "x.jsonl", "--kind", "dominated", "--out", "p.jsonl"],
+                     ["pad", "--config", "pad.cfg"]):
+            assert cli_main(*argv) == 2
+            assert "missing required option --target-n" in capsys.readouterr().err

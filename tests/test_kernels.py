@@ -14,27 +14,25 @@ from zerosum.gen import GameSpec, dominated_pad, random_pad, sample_game
 from zerosum.rng import child_seed
 
 
+def _sorted_sum(prods):
+    # start at the first sorted product, as cumsum does: a sum of -0.0
+    # products stays -0.0, where starting at +0.0 would give +0.0
+    prods = np.sort(prods)
+    s = prods[0]
+    for j in range(1, len(prods)):
+        s += prods[j]
+    return s
+
+
 def _exploit_terms_impl(a, p, q):
     n = a.shape[0]
     aq = np.empty(n)
     for i in range(n):
-        prods = np.sort(a[i] * q)
-        s = 0.0
-        for j in range(n):
-            s += prods[j]
-        aq[i] = s
+        aq[i] = _sorted_sum(a[i] * q)
     pa = np.empty(n)
     for j in range(n):
-        prods = np.sort(p * a[:, j])
-        s = 0.0
-        for i in range(n):
-            s += prods[i]
-        pa[j] = s
-    vprods = np.sort(p * aq)
-    v = 0.0
-    for i in range(n):
-        v += vprods[i]
-    return aq.max(), pa.min(), v
+        pa[j] = _sorted_sum(p * a[:, j])
+    return aq.max(), pa.min(), _sorted_sum(p * aq)
 
 
 def _lp_kernel_impl(ap, max_iter):
@@ -180,9 +178,12 @@ def test_exploit_terms_numpy_matches_reference_bitwise():
         n = a.shape[0]
         p = rng.dirichlet(np.ones(n))
         q = rng.dirichlet(np.ones(n))
-        ref = tuple(float(x).hex() for x in _exploit_terms_impl(a, p, q))
-        got = tuple(float(x).hex() for x in K.exploit_terms(a, p, q))
-        assert got == ref, a
+        first, last = np.eye(n)[0], np.eye(n)[-1]
+        # pure strategies put exact zeros, some of them -0.0, in the products
+        for pp, qq in ((p, q), (first, q), (p, last), (first, last)):
+            ref = tuple(float(x).hex() for x in _exploit_terms_impl(a, pp, qq))
+            got = tuple(float(x).hex() for x in K.exploit_terms(a, pp, qq))
+            assert got == ref, (a, pp, qq)
 
 
 def test_exploit_terms_batch_matches_numpy_kernel_row_by_row():

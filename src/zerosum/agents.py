@@ -293,21 +293,6 @@ class BlockSolverAgent:
         return [parse_response(raw, game.n)] * k
 
 
-def builtin_agent(kind: str, sigma: float = 0.0, seed: int = 0):
-    """Factory for the built-in agents."""
-    if kind == "uniform":
-        return UniformAgent()
-    if kind == "maximin":
-        return MaximinAgent()
-    if kind == "oracle":
-        return OracleAgent()
-    if kind in ("noisy_oracle", "noisy"):
-        return NoisyOracleAgent(sigma=sigma, seed=seed)
-    if kind == "block":
-        return BlockSolverAgent()
-    raise ConfigError(f"unknown builtin agent kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class RemoteModelConfig:
     """Chat-completion endpoint settings for a remote model agent."""
@@ -346,7 +331,8 @@ class RemoteModelAgent:
     Each sample issues {model, messages, temperature, max_tokens, n: 1};
     the bearer token is read from the env var named by config.auth_env. A
     semaphore caps in-flight calls when games are evaluated in parallel.
-    Samples that exhaust their retry budget become invalid (malformed)
+    A 4xx reply other than 429 is not retried. Samples that exhaust their
+    retry budget, or stop on such a reply, become invalid (malformed)
     responses and count toward transport_failures.
     """
 
@@ -401,6 +387,8 @@ class RemoteModelAgent:
             except urllib.error.HTTPError as exc:  # urlopen raises on 4xx/5xx
                 exc.close()
                 last_error = f"http {exc.code}"
+                if 400 <= exc.code < 500 and exc.code != 429:
+                    break  # a client error repeats on every retry
             except (OSError, HTTPException, ValueError, KeyError, IndexError, TypeError) as exc:
                 last_error = repr(exc)
         raise OSError(last_error or "transport failed")

@@ -35,10 +35,12 @@ import numpy as np
 from . import __version__ as VERSION
 from .agents import (
     BlockSolverAgent,
+    MaximinAgent,
     NoisyOracleAgent,
+    OracleAgent,
     RemoteModelAgent,
     RemoteModelConfig,
-    builtin_agent,
+    UniformAgent,
 )
 from .core import PayoffMatrix, canonical_json, content_digest, normalize_payoffs
 from .errors import (
@@ -51,13 +53,16 @@ from .errors import (
 )
 from .gen import GameRecord, GameSpec, PaddedGameRecord, dominated_pad, random_pad, sample_game
 from .harness import (
+    AUDIT_KINDS,
     DEFAULT_K,
     DEFAULT_TAU,
+    PAD_BASE_N,
+    PAD_COUNT,
+    PAD_TARGETS,
     EvalResult,
-    affine_invariance_audit,
     evaluate,
+    invariance_audit,
     padding_cliff_experiment,
-    permutation_equivariance_audit,
     rescore,
 )
 from .rng import child_seed
@@ -201,10 +206,13 @@ def _load_records(path: str) -> list:
     return records
 
 
+_PLAIN_AGENTS = {"uniform": UniformAgent, "maximin": MaximinAgent, "oracle": OracleAgent}
+
+
 def _agent_from_spec(spec: str, seed, audit_log=None):
     kind, _, rest = spec.partition(":")
-    if kind in ("uniform", "maximin", "oracle"):
-        return builtin_agent(kind)
+    if kind in _PLAIN_AGENTS:
+        return _PLAIN_AGENTS[kind]()
     if kind in ("noisy", "noisy_oracle"):
         if seed is None:
             raise ConfigError("a stochastic agent needs --seed")
@@ -340,7 +348,6 @@ def cmd_eval(cfg: dict) -> int:
     games = _load_records(src)
     dists = {g.spec.distribution for g in games if isinstance(g, GameRecord)}
     dist_label = dists.pop() if len(dists) == 1 else ""
-    agent = _agent_from_spec(cfg["agent"], cfg["seed"], audit_log=cfg["audit_log"])
     if rescore_path:
         try:
             with open(rescore_path) as fh:
@@ -355,6 +362,7 @@ def cmd_eval(cfg: dict) -> int:
             raise VerificationError("rescore does not reproduce the stored result")
         print("rescore reproduced the stored result exactly")
         return 0
+    agent = _agent_from_spec(cfg["agent"], cfg["seed"], audit_log=cfg["audit_log"])
     result = evaluate(agent, games, k=cfg["k"], tau=tau, jobs=cfg["jobs"],
                       condition=cfg["condition"], distribution=dist_label)
     outputs = _emit(cfg, result.to_json_dict())
@@ -379,11 +387,8 @@ def cmd_audit(cfg: dict) -> int:
         raise ConfigError(f"audit kind must be permutation, affine or both, got {kind!r}")
     games = _load_records(src)
     agent = _agent_from_spec(cfg["agent"], seed)
-    reports = []
-    if kind in ("permutation", "both"):
-        reports.append(permutation_equivariance_audit(agent, games, seed=seed))
-    if kind in ("affine", "both"):
-        reports.append(affine_invariance_audit(agent, games, seed=seed))
+    kinds = AUDIT_KINDS if kind == "both" else (kind,)
+    reports = invariance_audit(agent, games, kinds=kinds, seed=seed)
     payload = {"schema": "audit/1", "reports": [r.to_json_dict() for r in reports]}
     outputs = _emit(cfg, payload)
     _write_manifest("audit", cfg, [src], outputs)
@@ -599,9 +604,9 @@ _COMMANDS = {
     ]),
     "pad-exp": (cmd_pad_exp, "padding-cliff experiment", [
         ("agent", None, None, True, "agent spec"),
-        ("base_n", _as_int, 3, False, "base size"),
-        ("targets", None, "8,12,15,20", False, "comma list of padded sizes"),
-        ("count", _as_int, 50, False, "games per condition"),
+        ("base_n", _as_int, PAD_BASE_N, False, "base size"),
+        ("targets", None, ",".join(map(str, PAD_TARGETS)), False, "comma list of padded sizes"),
+        ("count", _as_int, PAD_COUNT, False, "games per condition"),
         _K,
         _TAU,
         _SEED,

@@ -13,8 +13,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import solver
 from .agents import parse_response
 from .core import apply_affine, apply_permutation, exploitability, permute_pair
@@ -24,6 +22,9 @@ from .rng import child_seed, generator
 
 DEFAULT_K = 4
 DEFAULT_TAU = 0.10
+PAD_BASE_N = 3
+PAD_TARGETS = (8, 12, 15, 20)
+PAD_COUNT = 50
 
 
 def binomial_se(p: float, n: int) -> float:
@@ -178,7 +179,21 @@ def score_responses(game, responses, tau: float) -> GameResult:
     )
 
 
-def _aggregate(agent_name, games, results, k, tau, condition, distribution) -> EvalResult:
+def _propose(agent, games, k, jobs) -> list:
+    """Each game's k responses, in game order.
+
+    jobs > 1 fans games out over a thread pool; results are collected in
+    game order, so scoring does not depend on completion order.
+    """
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(lambda g: agent.propose(g, k), games))
+    return [agent.propose(g, k) for g in games]
+
+
+def _score(name, games, responses, k, tau, condition, distribution) -> EvalResult:
+    """Score each game's responses and aggregate them into one EvalResult."""
+    results = [score_responses(g, r, tau) for g, r in zip(games, responses)]
     count = len(results)
     s_at = sum(1 for g in results if g.success) / count
     p_at = sum(1 for g in results if g.first_success) / count
@@ -188,7 +203,7 @@ def _aggregate(agent_name, games, results, k, tau, condition, distribution) -> E
     sizes = {g.n for g in games}
     n = sizes.pop() if len(sizes) == 1 else 0
     return EvalResult(
-        agent=agent_name,
+        agent=name,
         n=n,
         count=count,
         k=k,
@@ -216,8 +231,7 @@ def evaluate(
 ) -> EvalResult:
     """Best-of-k evaluation of one agent over a list of game records.
 
-    jobs > 1 fans games out over a thread pool; results are collected in
-    game order, so aggregation does not depend on completion order.
+    jobs > 1 proposes for several games at once on a thread pool.
     """
     if not games:
         raise ContractViolation("cannot evaluate an empty game set")
@@ -225,16 +239,8 @@ def evaluate(
         raise ContractViolation(f"sample count k must be >= 1, got {k}")
     if not 0.0 < tau < 1.0:
         raise ContractViolation(f"tau must be in (0, 1), got {tau}")
-
-    def run_one(game):
-        return score_responses(game, agent.propose(game, k), tau)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, games))
-    else:
-        results = [run_one(g) for g in games]
-    return _aggregate(agent.name, games, results, k, tau, condition, distribution)
+    responses = _propose(agent, games, k, jobs)
+    return _score(agent.name, games, responses, k, tau, condition, distribution)
 
 
 def rescore(result: EvalResult, games) -> EvalResult:
@@ -244,18 +250,15 @@ def rescore(result: EvalResult, games) -> EvalResult:
     matches the original run bit for bit.
     """
     by_id = {g.id: g for g in games}
-    results = []
-    for gr in result.games:
-        game = by_id.get(gr.game_id)
-        if game is None:
-            raise ContractViolation(f"game {gr.game_id} not in the provided set")
-        responses = [parse_response(t, game.n) for t in gr.raw_texts]
-        results.append(score_responses(game, responses, result.tau))
-    ordered_games = [by_id[gr.game_id] for gr in result.games]
-    return _aggregate(
-        result.agent, ordered_games, results, result.k, result.tau,
-        result.condition, result.distribution,
-    )
+    try:
+        ordered = [by_id[gr.game_id] for gr in result.games]
+    except KeyError as exc:
+        raise ContractViolation(f"game {exc.args[0]} not in the provided set") from None
+    responses = [
+        [parse_response(t, g.n) for t in gr.raw_texts] for g, gr in zip(ordered, result.games)
+    ]
+    return _score(result.agent, ordered, responses, result.k, result.tau,
+                  result.condition, result.distribution)
 
 
 @dataclass(frozen=True)
@@ -287,8 +290,41 @@ class InvarianceReport:
         }
 
 
-def _audit_pairs(agent, games):
-    """(game, parsed pair) for each game the agent answers validly, plus skips."""
+def _permute(game, pair, rng):
+    rp = rng.permutation(game.n)
+    cp = rng.permutation(game.n)
+    return apply_permutation(game.matrix, rp, cp), permute_pair(pair, rp, cp)
+
+
+def _rescale(game, pair, rng):
+    c = 0.5 + 1.5 * rng.random()
+    d = -1.0 + 2.0 * rng.random()
+    return apply_affine(game.matrix, c, d), pair
+
+
+# kind -> (child_seed tag, tolerance, transform(game, pair, rng) -> (matrix, pair))
+_AUDITS = {
+    "permutation": (7, 0.0, _permute),
+    "affine": (11, 1e-12, _rescale),
+}
+AUDIT_KINDS = tuple(_AUDITS)
+
+
+def invariance_audit(agent, games, kinds=AUDIT_KINDS, seed: int = 0) -> list[InvarianceReport]:
+    """One report per kind: is the reward unchanged under that transform?
+
+    permutation: game and strategies jointly permuted. The sorted-
+                 accumulation scoring kernel makes this exact, so the
+                 tolerance is 0.0: any nonzero difference is a defect.
+    affine:      payoffs A -> c*A + d with c in [0.5, 2] and d in [-1, 1]
+                 drawn per game. Agreement is to rounding (1e-12), since
+                 the two computations divide by different spans.
+
+    The agent proposes once per game; every kind audits that response.
+    """
+    unknown = [kind for kind in kinds if kind not in _AUDITS]
+    if unknown:
+        raise ContractViolation(f"unknown audit kind {unknown[0]!r}")
     usable = []
     invalid = 0
     for game in games:
@@ -296,73 +332,29 @@ def _audit_pairs(agent, games):
         if resp.parsed is None:
             invalid += 1
         else:
-            usable.append((game, resp.parsed))
-    return usable, invalid
-
-
-def permutation_equivariance_audit(agent, games, seed: int = 0) -> InvarianceReport:
-    """Reward is unchanged when game and strategies are jointly permuted.
-
-    The sorted-accumulation scoring kernel makes this exact, so the audit
-    tolerance is 0.0: any nonzero difference is a defect.
-    """
-    usable, invalid = _audit_pairs(agent, games)
-    diffs = []
-    per_size: dict[int, float] = {}
-    for idx, (game, pair) in enumerate(usable):
-        rng = generator(child_seed(seed, 7, idx))
-        rp = rng.permutation(game.n)
-        cp = rng.permutation(game.n)
-        base = exploitability(game.matrix, pair).reward
-        permuted = exploitability(
-            apply_permutation(game.matrix, rp, cp), permute_pair(pair, rp, cp)
-        ).reward
-        d = abs(base - permuted)
-        diffs.append(d)
-        per_size[game.n] = max(per_size.get(game.n, 0.0), d)
-    if not diffs:
+            usable.append((game, resp.parsed, exploitability(game.matrix, resp.parsed).reward))
+    if not usable:
         raise ContractViolation("no valid responses to audit")
-    return InvarianceReport(
-        kind="permutation",
-        trials=len(diffs),
-        invalid=invalid,
-        max_abs_diff=max(diffs),
-        mean_abs_diff=sum(diffs) / len(diffs),
-        per_size_max=per_size,
-        tol=0.0,
-    )
-
-
-def affine_invariance_audit(agent, games, seed: int = 0, tol: float = 1e-12) -> InvarianceReport:
-    """Normalized reward is unchanged under payoffs A -> c*A + d, c > 0.
-
-    Scales c in [0.5, 2] and shifts d in [-1, 1] are drawn per game and
-    logged through the report; agreement is to rounding (default 1e-12),
-    since the two computations divide by different spans.
-    """
-    usable, invalid = _audit_pairs(agent, games)
-    diffs = []
-    per_size: dict[int, float] = {}
-    for idx, (game, pair) in enumerate(usable):
-        rng = generator(child_seed(seed, 11, idx))
-        c = 0.5 + 1.5 * rng.random()
-        d = -1.0 + 2.0 * rng.random()
-        base = exploitability(game.matrix, pair).reward
-        scaled = exploitability(apply_affine(game.matrix, c, d), pair).reward
-        diff = abs(base - scaled)
-        diffs.append(diff)
-        per_size[game.n] = max(per_size.get(game.n, 0.0), diff)
-    if not diffs:
-        raise ContractViolation("no valid responses to audit")
-    return InvarianceReport(
-        kind="affine",
-        trials=len(diffs),
-        invalid=invalid,
-        max_abs_diff=max(diffs),
-        mean_abs_diff=sum(diffs) / len(diffs),
-        per_size_max=per_size,
-        tol=tol,
-    )
+    reports = []
+    for kind in kinds:
+        tag, tol, transform = _AUDITS[kind]
+        diffs = []
+        per_size: dict[int, float] = {}
+        for idx, (game, pair, base) in enumerate(usable):
+            matrix, moved = transform(game, pair, generator(child_seed(seed, tag, idx)))
+            diff = abs(base - exploitability(matrix, moved).reward)
+            diffs.append(diff)
+            per_size[game.n] = max(per_size.get(game.n, 0.0), diff)
+        reports.append(InvarianceReport(
+            kind=kind,
+            trials=len(diffs),
+            invalid=invalid,
+            max_abs_diff=max(diffs),
+            mean_abs_diff=sum(diffs) / len(diffs),
+            per_size_max=per_size,
+            tol=tol,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -407,9 +399,9 @@ def _cliff_row(condition: str, n: int, res: EvalResult) -> dict:
 
 def padding_cliff_experiment(
     agent,
-    base_n: int = 3,
-    targets: tuple[int, ...] = (8, 12, 15, 20),
-    count: int = 50,
+    base_n: int = PAD_BASE_N,
+    targets: tuple[int, ...] = PAD_TARGETS,
+    count: int = PAD_COUNT,
     k: int = DEFAULT_K,
     tau: float = DEFAULT_TAU,
     seed: int = 0,

@@ -179,20 +179,6 @@ class GroupAdvantages:
     std: float
     per_output_coefficient: tuple[float, ...] | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "rewards": list(self.rewards),
-            "advantages": list(self.advantages),
-            "mean": self.mean,
-            "std": self.std,
-            "per_output_coefficient": (
-                None
-                if self.per_output_coefficient is None
-                else list(self.per_output_coefficient)
-            ),
-        }
-
 
 def grpo_advantages(rewards, mode: str) -> GroupAdvantages:
     """Group-normalized advantages, cooperative or role-merged.

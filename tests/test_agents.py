@@ -23,7 +23,6 @@ from zerosum import (
     RemoteModelConfig,
     UniformAgent,
     build_prompt,
-    builtin_agent,
     dominated_pad,
     extract_matrix,
     parse_response,
@@ -217,14 +216,6 @@ class TestBuiltinAgents:
         out = BlockSolverAgent(block_n=3).propose(rec, 1)
         assert raw_exploit(rec.padded, out[0].parsed) <= 1e-8
 
-    def test_factory(self):
-        assert builtin_agent("uniform").name == "uniform"
-        assert builtin_agent("noisy", sigma=0.25).name == "noisy:0.25"
-        assert builtin_agent("noisy_oracle", sigma=0.25).name == "noisy:0.25"
-        assert builtin_agent("block").name == "block:3"
-        with pytest.raises(ConfigError):
-            builtin_agent("psychic")
-
 
 class TestRemoteConfig:
     def test_defaults(self):
@@ -329,13 +320,24 @@ class TestRemoteAgent:
         assert server.requests[0]["auth"] is None
 
     def test_retry_recovers_from_one_failure(self):
-        with scripted_server(script=[(500, {"error": "boom"})]) as (url, server):
-            cfg = RemoteModelConfig(endpoint=url, model="m", retries=2)
-            agent = RemoteModelAgent(cfg)
-            out = agent.propose(GAME, 1)
-        assert out[0].parse_error is None
-        assert agent.transport_failures == 0
-        assert len(server.requests) == 2
+        for status in (500, 429):
+            with scripted_server(script=[(status, {"error": "boom"})]) as (url, server):
+                cfg = RemoteModelConfig(endpoint=url, model="m", retries=2)
+                agent = RemoteModelAgent(cfg)
+                out = agent.propose(GAME, 1)
+            assert out[0].parse_error is None
+            assert agent.transport_failures == 0
+            assert len(server.requests) == 2
+
+    def test_client_error_is_not_retried(self):
+        for status in (400, 401, 404):
+            with scripted_server(script=[(status, {"error": "bad request"})]) as (url, server):
+                cfg = RemoteModelConfig(endpoint=url, model="m", retries=2)
+                agent = RemoteModelAgent(cfg)
+                out = agent.propose(GAME, 1)
+            assert out[0].parse_error == "malformed"
+            assert agent.transport_failures == 1
+            assert len(server.requests) == 1
 
     def test_exhaustion_yields_invalid_not_crash(self, tmp_path):
         audit = tmp_path / "audit.jsonl"

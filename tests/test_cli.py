@@ -9,7 +9,9 @@ import os
 import subprocess
 import sys
 
-from zerosum import cli
+import pytest
+
+from zerosum import ConfigError, cli
 
 
 CLI = [sys.executable, "-m", "zerosum.cli"]
@@ -328,6 +330,40 @@ def test_manifest_ids_and_configs_are_pinned(tmp_path, monkeypatch, capsys):
         assert manifest["config"] == want_config
         seed = want_config.get("seed")
         assert manifest["seeds"] == ({} if seed is None else {"seed": seed})
+
+
+@pytest.mark.parametrize("agent", ["noisy:0.3", "remote:missing.json"])
+def test_rescore_builds_no_agent(agent, tmp_path, monkeypatch, capsys):
+    """A rescore reads only the stored texts, so an agent spec that would
+    need a seed or a config file does not stop it."""
+    monkeypatch.chdir(tmp_path)
+    assert cli_main("gen", "--n", 3, "--count", 4, "--seed", 7, "--out", "g.jsonl") == 0
+    assert cli_main("eval", "--in", "g.jsonl", "--agent", "noisy:0.3", "--seed", 5,
+                    "--out", "r.json") == 0
+    capsys.readouterr()
+    rc = cli_main("eval", "--in", "g.jsonl", "--agent", agent, "--rescore", "r.json",
+                  "--out", "again.json")
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert "reproduced" in out
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "r.json").read_bytes()
+    assert read_manifest("again.json")["config"]["agent"] == agent
+
+
+class TestAgentFromSpec:
+    def test_names(self):
+        assert cli._agent_from_spec("uniform", None).name == "uniform"
+        assert cli._agent_from_spec("maximin", None).name == "maximin"
+        assert cli._agent_from_spec("oracle", None).name == "oracle"
+        assert cli._agent_from_spec("noisy", 1).name == "noisy:0.1"
+        assert cli._agent_from_spec("noisy:0.25", 1).name == "noisy:0.25"
+        assert cli._agent_from_spec("noisy_oracle:0.25", 1).name == "noisy:0.25"
+        assert cli._agent_from_spec("block", None).name == "block:3"
+
+    def test_rejects(self):
+        for spec, seed in (("psychic", 1), ("noisy:0.3", None)):
+            with pytest.raises(ConfigError):
+                cli._agent_from_spec(spec, seed)
 
 
 class TestOptionResolution:

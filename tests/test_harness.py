@@ -17,13 +17,12 @@ from zerosum import (
     OracleAgent,
     PayoffMatrix,
     UniformAgent,
-    affine_invariance_audit,
     binomial_se,
     evaluate,
+    invariance_audit,
     make_eval_set,
     padding_cliff_experiment,
     parse_response,
-    permutation_equivariance_audit,
     rescore,
     sample_game,
     score_responses,
@@ -226,7 +225,7 @@ class TestRescore:
 class TestAudits:
     def test_permutation_exact_for_oracle(self):
         games = make_eval_set(n=4, count=10, eval_seed=21)
-        rep = permutation_equivariance_audit(OracleAgent(), games, seed=0)
+        [rep] = invariance_audit(OracleAgent(), games, kinds=("permutation",), seed=0)
         assert rep.kind == "permutation"
         assert rep.tol == 0.0
         assert rep.max_abs_diff == 0.0
@@ -236,7 +235,7 @@ class TestAudits:
 
     def test_affine_within_rounding(self):
         games = make_eval_set(n=4, count=10, eval_seed=22)
-        rep = affine_invariance_audit(NoisyOracleAgent(sigma=0.3, seed=3), games)
+        [rep] = invariance_audit(NoisyOracleAgent(sigma=0.3, seed=3), games, kinds=("affine",))
         assert rep.kind == "affine"
         assert rep.max_abs_diff <= 1e-12
         assert rep.ok
@@ -244,13 +243,36 @@ class TestAudits:
     def test_all_invalid_raises(self):
         games = make_eval_set(n=3, count=3, eval_seed=23)
         with pytest.raises(ContractViolation):
-            permutation_equivariance_audit(ScriptedAgent([T_BAD]), games)
+            invariance_audit(ScriptedAgent([T_BAD]), games, kinds=("permutation",))
 
     def test_report_json(self):
         games = make_eval_set(n=3, count=5, eval_seed=24)
-        d = permutation_equivariance_audit(OracleAgent(), games).to_json_dict()
+        [rep] = invariance_audit(OracleAgent(), games, kinds=("permutation",))
+        d = rep.to_json_dict()
         assert d["ok"] is True
         assert d["per_size_max"] == {"3": 0.0}
+
+    def test_kinds_share_one_proposal_per_game(self):
+        games = make_eval_set(n=3, count=6, eval_seed=25)
+        proposed = []
+
+        class CountingOracle(OracleAgent):
+            def propose(self, game, k):
+                proposed.append(game.id)
+                return super().propose(game, k)
+
+        reports = invariance_audit(CountingOracle(), games, seed=4)
+        assert proposed == [g.id for g in games]
+        # each kind's report is the one it gives when audited alone
+        alone = [invariance_audit(OracleAgent(), games, kinds=(r.kind,), seed=4)[0]
+                 for r in reports]
+        assert [r.kind for r in reports] == ["permutation", "affine"]
+        assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
+
+    def test_unknown_kind_raises(self):
+        games = make_eval_set(n=3, count=2, eval_seed=26)
+        with pytest.raises(ContractViolation):
+            invariance_audit(OracleAgent(), games, kinds=("rotation",))
 
 
 class TestPaddingCliff:

@@ -6,6 +6,10 @@ noisy_oracle, block solver) are deterministic given (game, seed) and emit
 their pair through the same serialize -> parse path used for model output,
 so every reward in the system is computed from raw text.
 
+The remote agent sends one fixed prompt (``build_prompt``): the game size,
+the normalized payoff matrix as a nested JSON list of repr floats, and the
+requested reply shape.
+
 Parsing contract: the first JSON object literal in the text containing both
 "row" and "col" keys is the candidate; failures are classified as one of
   malformed          no parseable object with the keys / non-numeric weights
@@ -22,11 +26,11 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import StrategyPair, content_digest, project_to_simplex
+from .core import PayoffMatrix, StrategyPair, content_digest, project_to_simplex
 from .errors import ConfigError, ContractViolation
 from .rng import child_seed, generator
 from .solver import maximin_pure, solve_zero_sum_lp, uniform_pair
@@ -50,103 +54,20 @@ class AgentResponse:
             raise ContractViolation(f"unknown parse error {self.parse_error!r}")
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Prompt text with {n}, {matrix} and {filler} placeholders."""
-
-    text: str
-
-
-DEFAULT_TEMPLATE = PromptTemplate(
-    text=(
-        "You are playing a two-player zero-sum matrix game.\n"
-        "{filler}"
-        "The row player's payoff matrix has {n} rows and {n} columns:\n"
-        "{matrix}\n"
-        "Row entries are the row player's payoffs; the column player receives "
-        "their negation.\n"
-        'Reply with a JSON object {{"row": [...], "col": [...]}} giving mixed '
-        "strategies for the row and column players.\n"
-    )
+_PROMPT = (
+    "You are playing a two-player zero-sum matrix game.\n"
+    "The row player's payoff matrix has {n} rows and {n} columns:\n"
+    "{matrix}\n"
+    "Row entries are the row player's payoffs; the column player receives "
+    "their negation.\n"
+    'Reply with a JSON object {{"row": [...], "col": [...]}} giving mixed '
+    "strategies for the row and column players.\n"
 )
 
-_FILLER_UNIT = "[advisory] This note is neutral padding and carries no game information. "
 
-
-def render_matrix(entries: np.ndarray) -> str:
-    """Nested-list rendering with repr floats; extract_matrix inverts it."""
-    return json.dumps([list(row) for row in entries.tolist()])
-
-
-def extract_matrix(prompt: str) -> np.ndarray:
-    """Recover the first nested-list matrix embedded in a prompt."""
-    dec = json.JSONDecoder()
-    idx = 0
-    while True:
-        start = prompt.find("[", idx)
-        if start < 0:
-            raise ContractViolation("prompt contains no matrix literal")
-        try:
-            obj, _ = dec.raw_decode(prompt, start)
-        except ValueError:
-            idx = start + 1
-            continue
-        if (
-            isinstance(obj, list)
-            and obj
-            and all(isinstance(r, list) and len(r) == len(obj) for r in obj)
-        ):
-            return np.array(obj, dtype=np.float64)
-        idx = start + 1
-
-
-def _filler_block(chars: int) -> str:
-    if chars <= 0:
-        return ""
-    reps = -(-chars // len(_FILLER_UNIT))
-    return (_FILLER_UNIT * reps)[: chars - 1] + "\n"
-
-
-def build_prompt(
-    game,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
-    filler_chars: int = 0,
-    target_length: int | None = None,
-    length_fn=len,
-) -> str:
-    """Render a game into a prompt, optionally padded to a length target.
-
-    ``filler_chars`` inserts an inert advisory block of exactly that many
-    characters (including its trailing newline). ``target_length`` instead
-    searches for the smallest filler making length_fn(prompt) >= target;
-    length_fn defaults to len and may be any monotone length callback
-    (e.g. a tokenizer).
-    """
-
-    def render(chars: int) -> str:
-        return template.text.format(
-            n=game.n, matrix=render_matrix(game.matrix.entries), filler=_filler_block(chars)
-        )
-
-    if target_length is None:
-        return render(filler_chars)
-    base = render(0)
-    if length_fn(base) >= target_length:
-        return base
-    if length_fn is len:
-        return render(target_length - len(base))
-    lo, hi = 0, 64
-    while length_fn(render(hi)) < target_length:
-        lo, hi = hi, hi * 2
-        if hi > 10_000_000:
-            raise ContractViolation("length target unreachable")
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if length_fn(render(mid)) >= target_length:
-            hi = mid
-        else:
-            lo = mid
-    return render(hi)
+def build_prompt(game) -> str:
+    """The fixed prompt: the game size and its matrix as a nested JSON list."""
+    return _PROMPT.format(n=game.n, matrix=json.dumps(game.matrix.entries.tolist()))
 
 
 def _iter_json_objects(text: str):
@@ -211,28 +132,30 @@ def serialize_pair(pair: StrategyPair) -> str:
     return json.dumps(pair.to_json_dict())
 
 
+def _answer(pair: StrategyPair, n: int, k: int) -> list[AgentResponse]:
+    """k copies of one pair's answer, read back through the text path."""
+    return [parse_response(serialize_pair(pair), n)] * k
+
+
 class UniformAgent:
     name = "uniform"
 
     def propose(self, game, k: int) -> list[AgentResponse]:
-        resp = parse_response(serialize_pair(uniform_pair(game.n)), game.n)
-        return [resp] * k
+        return _answer(uniform_pair(game.n), game.n, k)
 
 
 class MaximinAgent:
     name = "maximin"
 
     def propose(self, game, k: int) -> list[AgentResponse]:
-        resp = parse_response(serialize_pair(maximin_pure(game.matrix)), game.n)
-        return [resp] * k
+        return _answer(maximin_pure(game.matrix), game.n, k)
 
 
 class OracleAgent:
     name = "oracle"
 
     def propose(self, game, k: int) -> list[AgentResponse]:
-        resp = parse_response(serialize_pair(solve_zero_sum_lp(game.matrix).pair), game.n)
-        return [resp] * k
+        return _answer(solve_zero_sum_lp(game.matrix).pair, game.n, k)
 
 
 class NoisyOracleAgent:
@@ -253,7 +176,7 @@ class NoisyOracleAgent:
     def propose(self, game, k: int) -> list[AgentResponse]:
         pair = solve_zero_sum_lp(game.matrix).pair
         if self.sigma == 0.0:
-            return [parse_response(serialize_pair(pair), game.n)] * k
+            return _answer(pair, game.n, k)
         out = []
         gid = int(game.id, 16)
         for s in range(k):
@@ -280,8 +203,6 @@ class BlockSolverAgent:
         self.name = f"block:{block_n}"
 
     def propose(self, game, k: int) -> list[AgentResponse]:
-        from .core import PayoffMatrix
-
         b = min(self.block_n, game.n)
         block = PayoffMatrix(game.matrix.entries[:b, :b])
         pair = solve_zero_sum_lp(block).pair
@@ -336,10 +257,8 @@ class RemoteModelAgent:
     responses and count toward transport_failures.
     """
 
-    def __init__(self, config: RemoteModelConfig, template: PromptTemplate = DEFAULT_TEMPLATE,
-                 audit_path: str | None = None):
+    def __init__(self, config: RemoteModelConfig, audit_path: str | None = None):
         self.config = config
-        self.template = template
         self.audit_path = audit_path
         self.name = f"remote:{config.model}"
         self.transport_failures = 0
@@ -394,7 +313,7 @@ class RemoteModelAgent:
         raise OSError(last_error or "transport failed")
 
     def propose(self, game, k: int) -> list[AgentResponse]:
-        prompt = build_prompt(game, self.template)
+        prompt = build_prompt(game)
         psha = content_digest(prompt)
         out = []
         for s in range(k):
@@ -409,10 +328,7 @@ class RemoteModelAgent:
                     self.transport_failures += 1
                 resp = AgentResponse(raw_text="", parsed=None, parse_error="malformed")
             latency = time.perf_counter() - start
-            resp = AgentResponse(
-                raw_text=resp.raw_text, parsed=resp.parsed,
-                parse_error=resp.parse_error, latency=latency,
-            )
+            resp = replace(resp, latency=latency)
             self._audit(
                 {
                     "game_id": game.id,

@@ -51,7 +51,15 @@ from .errors import (
     VerificationError,
     ZeroSumError,
 )
-from .gen import GameRecord, GameSpec, PaddedGameRecord, dominated_pad, random_pad, sample_game
+from .gen import (
+    GameRecord,
+    GameSpec,
+    PaddedGameRecord,
+    dominated_pad,
+    eval_game_spec,
+    random_pad,
+    sample_game,
+)
 from .harness import (
     AUDIT_KINDS,
     DEFAULT_K,
@@ -65,7 +73,6 @@ from .harness import (
     padding_cliff_experiment,
     rescore,
 )
-from .rng import child_seed
 from .solver import CERT_TOL, raw_exploit, solve_zero_sum_lp, support_enumeration
 from .theory import (
     ToyPolicy,
@@ -242,13 +249,9 @@ def _matching_pennies_record():
 
 def cmd_gen(cfg: dict) -> int:
     n, count, dist, out = cfg["n"], cfg["count"], cfg["dist"], cfg["out"]
-    records = []
-    for i in range(count):
-        spec = GameSpec(
-            n=n, distribution=dist, seed=child_seed(cfg["seed"], n, i),
-            normalize=cfg["normalize"], sparse_density=cfg["density"],
-        )
-        records.append(sample_game(spec))
+    template = GameSpec(n=n, distribution=dist, seed=0, normalize=cfg["normalize"],
+                        sparse_density=cfg["density"])
+    records = [sample_game(eval_game_spec(template, n, cfg["seed"], i)) for i in range(count)]
     with open(out, "w") as fh:
         for rec in records:
             fh.write(canonical_json(rec.to_json_dict()) + "\n")
@@ -278,6 +281,16 @@ def cmd_pad(cfg: dict) -> int:
     return 0
 
 
+def _solution(eq) -> dict:
+    return {
+        "value": eq.value,
+        "row_strategy": eq.pair.row.probs.tolist(),
+        "col_strategy": eq.pair.col.probs.tolist(),
+        "iterations": eq.iterations,
+        "degenerate": eq.degenerate,
+    }
+
+
 def cmd_solve(cfg: dict) -> int:
     src, method, out = cfg["in"], cfg["method"], cfg["out"]
     if method not in ("lp", "support", "both"):
@@ -295,26 +308,14 @@ def cmd_solve(cfg: dict) -> int:
         row = {"game_id": rec.id, "n": rec.n, "method": method}
         if method in ("lp", "both"):
             eq = solve_zero_sum_lp(rec.matrix)
-            row.update(
-                value=eq.value,
-                row_strategy=eq.pair.row.probs.tolist(),
-                col_strategy=eq.pair.col.probs.tolist(),
-                iterations=eq.iterations,
-                degenerate=eq.degenerate,
-            )
+            row.update(_solution(eq))
         if method in ("support", "both"):
             se = support_enumeration(rec.matrix)
             row["support_value"] = se.value
             row["support_row"] = se.pair.row.probs.tolist()
             row["support_col"] = se.pair.col.probs.tolist()
             if method == "support":
-                row.update(
-                    value=se.value,
-                    row_strategy=se.pair.row.probs.tolist(),
-                    col_strategy=se.pair.col.probs.tolist(),
-                    iterations=se.iterations,
-                    degenerate=se.degenerate,
-                )
+                row.update(_solution(se))
         if method == "both":
             gap = abs(row["value"] - row["support_value"])
             cross = max(
@@ -341,6 +342,15 @@ def cmd_solve(cfg: dict) -> int:
         print(f"routes agree on {len(rows)} games (worst value gap {worst_gap:.3e})")
     _write_manifest("solve", cfg, [src], outputs)
     return 0
+
+
+def _check_transport(agent) -> None:
+    """Report a remote agent's transport failures; raise if every sample failed."""
+    if not isinstance(agent, RemoteModelAgent):
+        return
+    print(f"transport: {agent.transport_failures}/{agent.samples_attempted} samples failed")
+    if agent.samples_attempted and agent.transport_failures == agent.samples_attempted:
+        raise TransportExhausted("every remote sample failed transport")
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -372,12 +382,7 @@ def cmd_eval(cfg: dict) -> int:
         f"s@{tau:g}={result.s_at_tau:.3f} ±{result.se_s:.3f} "
         f"pass@1={result.pass_at_1:.3f} valid={result.valid_rate:.3f}"
     )
-    if isinstance(agent, RemoteModelAgent):
-        print(
-            f"transport: {agent.transport_failures}/{agent.samples_attempted} samples failed"
-        )
-        if agent.samples_attempted and agent.transport_failures == agent.samples_attempted:
-            raise TransportExhausted("every remote sample failed transport")
+    _check_transport(agent)
     return 0
 
 
@@ -388,13 +393,18 @@ def cmd_audit(cfg: dict) -> int:
     games = _load_records(src)
     agent = _agent_from_spec(cfg["agent"], seed)
     kinds = AUDIT_KINDS if kind == "both" else (kind,)
-    reports = invariance_audit(agent, games, kinds=kinds, seed=seed)
+    try:
+        reports = invariance_audit(agent, games, kinds=kinds, seed=seed)
+    except ContractViolation:
+        _check_transport(agent)  # an unreachable endpoint is not a config error
+        raise
     payload = {"schema": "audit/1", "reports": [r.to_json_dict() for r in reports]}
     outputs = _emit(cfg, payload)
     _write_manifest("audit", cfg, [src], outputs)
     for r in reports:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.kind}: max |diff| = {r.max_abs_diff:.3e} "
               f"over {r.trials} games ({r.invalid} invalid, tol {r.tol:g})")
+    _check_transport(agent)
     if not all(r.ok for r in reports):
         raise VerificationError("metric invariance audit failed")
     return 0
@@ -410,6 +420,7 @@ def cmd_pad_exp(cfg: dict) -> int:
     outputs = _emit(cfg, report.to_json_dict())
     _write_manifest("pad-exp", cfg, [], outputs)
     print(_padexp_table(report.to_json_dict()))
+    _check_transport(agent)
     return 0
 
 

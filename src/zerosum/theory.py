@@ -15,7 +15,7 @@ Three families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,19 @@ def _random_simplex(rng, n: int) -> np.ndarray:
     return e / e.sum()
 
 
+class _Report:
+    """JSON form shared by the check reports: kind, the fields, then ok."""
+
+    kind: str
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, **asdict(self), "ok": self.ok}
+
+
 @dataclass(frozen=True)
-class LipschitzReport:
+class LipschitzReport(_Report):
+    kind = "lipschitz"
+
     trials: int
     violations: int
     max_ratio: float
@@ -44,17 +55,6 @@ class LipschitzReport:
     @property
     def ok(self) -> bool:
         return self.violations == 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "lipschitz",
-            "trials": self.trials,
-            "violations": self.violations,
-            "max_ratio": self.max_ratio,
-            "max_abs_delta": self.max_abs_delta,
-            "slack": self.slack,
-            "ok": self.ok,
-        }
 
 
 def check_residual_lipschitz(trials: int = 500, seed: int = 0) -> LipschitzReport:
@@ -100,8 +100,10 @@ def check_residual_lipschitz(trials: int = 500, seed: int = 0) -> LipschitzRepor
 
 
 @dataclass(frozen=True)
-class DiscontinuityReport:
+class DiscontinuityReport(_Report):
     """Equilibria along eps * matching-pennies vs the all-zeros solution."""
+
+    kind = "discontinuity"
 
     rows: tuple[dict, ...]
     zero_pair: dict
@@ -111,16 +113,6 @@ class DiscontinuityReport:
     @property
     def ok(self) -> bool:
         return self.min_jump >= 1.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "discontinuity",
-            "rows": [dict(r) for r in self.rows],
-            "zero_pair": dict(self.zero_pair),
-            "zero_degenerate": self.zero_degenerate,
-            "min_jump": self.min_jump,
-            "ok": self.ok,
-        }
 
 
 def _pair_l1(a: StrategyPair, b: StrategyPair) -> float:
@@ -233,21 +225,15 @@ def grpo_advantages(rewards, mode: str) -> GroupAdvantages:
 
 
 @dataclass(frozen=True)
-class CancellationReport:
+class CancellationReport(_Report):
+    kind = "cancellation"
+
     trials: int
     max_abs_coefficient: float
 
     @property
     def ok(self) -> bool:
         return self.max_abs_coefficient == 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "cancellation",
-            "trials": self.trials,
-            "max_abs_coefficient": self.max_abs_coefficient,
-            "ok": self.ok,
-        }
 
 
 def grpo_cancellation_check(trials: int = 200, seed: int = 0) -> CancellationReport:

@@ -2,6 +2,7 @@
 strategies, and the remote HTTP agent against a scripted local server."""
 
 import contextlib
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -18,13 +19,11 @@ from zerosum import (
     MaximinAgent,
     NoisyOracleAgent,
     OracleAgent,
-    PromptTemplate,
     RemoteModelAgent,
     RemoteModelConfig,
     UniformAgent,
     build_prompt,
     dominated_pad,
-    extract_matrix,
     parse_response,
     raw_exploit,
     sample_game,
@@ -139,39 +138,22 @@ class TestPrompts:
     def test_contains_size_and_matrix(self):
         p = build_prompt(GAME3)
         assert "3 rows and 3 columns" in p
-        assert np.array_equal(extract_matrix(p), GAME3.matrix.entries)
-
-    def test_filler_adds_exactly_that_many_chars(self):
-        base = build_prompt(GAME)
-        padded = build_prompt(GAME, filler_chars=137)
-        assert len(padded) - len(base) == 137
-
-    def test_target_length_exact_with_len(self):
-        p = build_prompt(GAME, target_length=2000)
-        assert len(p) == 2000
-
-    def test_target_already_met_returns_base(self):
-        base = build_prompt(GAME)
-        assert build_prompt(GAME, target_length=10) == base
-
-    def test_target_length_with_word_count(self):
-        words = lambda s: len(s.split())
-        p = build_prompt(GAME, target_length=400, length_fn=words)
-        assert words(p) >= 400
-        # Minimality: one filler unit fewer must fall short. The search
-        # returns the smallest character count, so shaving the filler by a
-        # whole unit has to drop below the target.
-        shorter = build_prompt(GAME, filler_chars=max(len(p) - len(build_prompt(GAME)) - 80, 0))
-        assert words(shorter) < 400 or len(shorter) >= len(p)
-
-    def test_custom_template(self):
-        t = PromptTemplate(text="n={n} m={matrix} {filler}end")
-        p = build_prompt(GAME, template=t)
-        assert p.startswith("n=2 m=[[")
-        assert p.endswith("end")
+        assert json.dumps(GAME3.matrix.entries.tolist()) in p
 
     def test_digest_is_stable(self):
         assert content_digest(build_prompt(GAME)) == content_digest(build_prompt(GAME))
+
+    def test_prompt_bytes_are_pinned(self):
+        # remote audit logs record prompt_sha, so the prompt text must not drift
+        pins = [
+            (GameSpec(n=2, distribution="integer", seed=0),
+             "74f1b7fc412dbb36b48c74ce4703fda5d95debc7f07d5e50402059bdb30f5fbc"),
+            (GameSpec(n=5, distribution="gaussian", seed=7),
+             "703bd3975f9b9a5578caff4e36b5adbe4db6cf4e99650d5146ef7c19515de902"),
+        ]
+        for spec, sha in pins:
+            prompt = build_prompt(sample_game(spec))
+            assert hashlib.sha256(prompt.encode()).hexdigest() == sha, spec
 
 
 class TestBuiltinAgents:

@@ -186,6 +186,15 @@ class TestEval:
         # outputs still written before the failure is raised
         result = json.loads((tmp_path / "r.json").read_text())
         assert result["valid_rate"] == 0.0
+        # an unreachable endpoint is a transport failure for every command
+        res = run("audit", "--in", games.name, "--agent", "remote:remote.json",
+                  "--seed", 1, cwd=tmp_path)
+        assert res.returncode == 4
+        assert "transport" in res.stderr
+        res = run("pad-exp", "--agent", "remote:remote.json", "--count", 1,
+                  "--targets", 4, "--k", 1, "--seed", 1, cwd=tmp_path)
+        assert res.returncode == 4
+        assert "transport" in res.stderr
 
 
 class TestAuditAndTheorems:
@@ -393,6 +402,13 @@ class TestOptionResolution:
         for flags, lines in ((["--normalize", "maybe"], []), ([], ["normalize=maybe"])):
             assert self.gen(tmp_path, ["--count", 2, *flags], lines) == 2
             assert "normalize must be a boolean" in capsys.readouterr().err
+
+    def test_empty_set_still_checks_the_spec(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert self.gen(tmp_path, ["--count", 0]) == 0
+        assert (tmp_path / "x.jsonl").read_text() == ""
+        assert self.gen(tmp_path, ["--count", 0, "--dist", "cauchy"]) == 2
+        assert "unknown distribution" in capsys.readouterr().err
 
     def test_pad_without_target_n(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

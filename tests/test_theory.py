@@ -11,13 +11,18 @@ import pytest
 from zerosum import (
     ContractViolation,
     PayoffMatrix,
+    StrategyPair,
     ToyPolicy,
     check_residual_lipschitz,
     grpo_advantages,
     grpo_cancellation_check,
+    project_to_simplex,
+    raw_exploit,
     selector_discontinuity_demo,
     toy_grpo_train,
+    uniform_pair,
 )
+from zerosum.theory import LIPSCHITZ_SLACK
 
 MP = SimpleNamespace(
     n=2, id="mp", matrix=PayoffMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -41,6 +46,46 @@ class TestLipschitz:
         d = check_residual_lipschitz(trials=50, seed=1).to_json_dict()
         assert d["kind"] == "lipschitz"
         assert d["ok"] is True
+
+    def test_bound_property(self):
+        """Search integer, sparse and near-degenerate games for a violation
+        of |E(A) - E(B)| <= 2 max|A - B| at fixed strategies."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        def matrices(n):
+            floats = hnp.arrays(np.float64, (n, n), elements=st.floats(-10, 10))
+            integer = hnp.arrays(np.float64, (n, n), elements=st.integers(-9, 9).map(float))
+            sparse = st.tuples(floats, hnp.arrays(bool, (n, n))).map(lambda t: t[0] * t[1])
+
+            def near_degenerate(a):
+                a = a.copy()
+                a[1] = a[0] + 1e-9  # two rows 1e-9 apart
+                return a
+
+            return st.one_of(integer, sparse, floats.map(near_degenerate))
+
+        def strategy(n):
+            weights = hnp.arrays(np.float64, n, elements=st.floats(0, 1))
+            return weights.map(lambda w: project_to_simplex(w) or uniform_pair(n).row)
+
+        @st.composite
+        def instances(draw):
+            n = draw(st.integers(2, 8))
+            a = draw(matrices(n))
+            delta = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-2, 2)))
+            pair = StrategyPair(row=draw(strategy(n)), col=draw(strategy(n)))
+            return a, a + delta, pair
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(instances())
+        def check(instance):
+            a, b, pair = instance
+            gap = abs(raw_exploit(PayoffMatrix(a), pair) - raw_exploit(PayoffMatrix(b), pair))
+            assert gap <= 2.0 * float(np.max(np.abs(a - b))) + LIPSCHITZ_SLACK
+
+        check()
 
 
 class TestDiscontinuity:

@@ -42,7 +42,7 @@ from .agents import (
     RemoteModelConfig,
     UniformAgent,
 )
-from .core import PayoffMatrix, canonical_json, content_digest, normalize_payoffs
+from .core import PayoffMatrix, canonical_json, content_digest, field_dict, normalize_payoffs
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -52,6 +52,7 @@ from .errors import (
     ZeroSumError,
 )
 from .gen import (
+    DISTRIBUTIONS,
     GameRecord,
     GameSpec,
     PaddedGameRecord,
@@ -68,12 +69,19 @@ from .harness import (
     PAD_COUNT,
     PAD_TARGETS,
     EvalResult,
+    PaddingCliffReport,
     evaluate,
     invariance_audit,
     padding_cliff_experiment,
     rescore,
 )
-from .solver import CERT_TOL, raw_exploit, solve_zero_sum_lp, support_enumeration
+from .solver import (
+    CERT_TOL,
+    SUPPORT_ENUM_MAX_N,
+    raw_exploit,
+    solve_zero_sum_lp,
+    support_enumeration,
+)
 from .theory import (
     ToyPolicy,
     check_residual_lipschitz,
@@ -189,24 +197,33 @@ def _emit(cfg: dict, payload: dict) -> list:
     return []
 
 
+def _schema(payload):
+    return payload.get("schema") if isinstance(payload, dict) else None
+
+
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not JSON: {exc}") from None
+
+
 def _load_records(path: str) -> list:
     records = []
     try:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
+            for line in fh:
                 if not line.strip():
                     continue
                 d = json.loads(line)
-                schema = d.get("schema")
-                if schema == "gamerec/1":
-                    records.append(GameRecord.from_json_dict(d))
-                elif schema == "padrec/1":
-                    records.append(PaddedGameRecord.from_json_dict(d))
-                else:
-                    raise ConfigError(f"{path}:{lineno}: unknown record schema {schema!r}")
+                padded = _schema(d) == PaddedGameRecord.schema
+                records.append((PaddedGameRecord if padded else GameRecord).from_json_dict(d))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, ContractViolation, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # not JSON, or not a valid record
         raise ConfigError(f"{path}: bad record: {exc}") from None
     if not records:
         raise ConfigError(f"{path}: no records")
@@ -225,16 +242,13 @@ def _agent_from_spec(spec: str, seed, audit_log=None):
             raise ConfigError("a stochastic agent needs --seed")
         return NoisyOracleAgent(sigma=_as_float(rest or "0.1", "sigma"), seed=seed)
     if kind == "block":
-        return BlockSolverAgent(block_n=_as_int(rest or "3", "block"))
+        return BlockSolverAgent(_as_int(rest, "block")) if rest else BlockSolverAgent()
     if kind == "remote":
         if not rest:
             raise ConfigError("remote agent needs a config path: remote:CONFIG.json")
         try:
-            with open(rest) as fh:
-                cfg = RemoteModelConfig.from_json_dict(json.load(fh))
-        except OSError as exc:
-            raise ConfigError(f"cannot read remote config {rest}: {exc}") from None
-        except (json.JSONDecodeError, TypeError) as exc:
+            cfg = RemoteModelConfig.from_json_dict(_read_json(rest))
+        except TypeError as exc:
             raise ConfigError(f"bad remote config {rest}: {exc}") from None
         if seed is None:
             raise ConfigError("a stochastic agent needs --seed")
@@ -249,7 +263,9 @@ def _matching_pennies_record():
 
 def cmd_gen(cfg: dict) -> int:
     n, count, dist, out = cfg["n"], cfg["count"], cfg["dist"], cfg["out"]
-    template = GameSpec(n=n, distribution=dist, seed=0, normalize=cfg["normalize"],
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
+    template = GameSpec(n=n, distribution=dist, normalize=cfg["normalize"],
                         sparse_density=cfg["density"])
     records = [sample_game(eval_game_spec(template, n, cfg["seed"], i)) for i in range(count)]
     with open(out, "w") as fh:
@@ -297,10 +313,11 @@ def cmd_solve(cfg: dict) -> int:
         raise ConfigError(f"method must be lp, support or both, got {method!r}")
     records = _load_records(src)
     if method in ("support", "both"):
-        oversized = [r.id for r in records if r.n > 5]
+        oversized = [r.id for r in records if r.n > SUPPORT_ENUM_MAX_N]
         if oversized:
             raise ConfigError(
-                f"support enumeration handles n <= 5; oversized games: {oversized[:3]}"
+                f"support enumeration handles n <= {SUPPORT_ENUM_MAX_N}; "
+                f"oversized games: {oversized[:3]}"
             )
     rows = []
     worst_gap = 0.0
@@ -359,11 +376,7 @@ def cmd_eval(cfg: dict) -> int:
     dists = {g.spec.distribution for g in games if isinstance(g, GameRecord)}
     dist_label = dists.pop() if len(dists) == 1 else ""
     if rescore_path:
-        try:
-            with open(rescore_path) as fh:
-                prior = EvalResult.from_json_dict(json.load(fh))
-        except OSError as exc:
-            raise ConfigError(f"cannot read {rescore_path}: {exc}") from None
+        prior = EvalResult.from_json_dict(_read_json(rescore_path))
         result = rescore(prior, games)
         identical = result.to_json_dict() == prior.to_json_dict()
         outputs = _emit(cfg, result.to_json_dict())
@@ -388,8 +401,6 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_audit(cfg: dict) -> int:
     src, kind, seed = cfg["in"], cfg["kind"], cfg["seed"]
-    if kind not in ("permutation", "affine", "both"):
-        raise ConfigError(f"audit kind must be permutation, affine or both, got {kind!r}")
     games = _load_records(src)
     agent = _agent_from_spec(cfg["agent"], seed)
     kinds = AUDIT_KINDS if kind == "both" else (kind,)
@@ -419,7 +430,7 @@ def cmd_pad_exp(cfg: dict) -> int:
     )
     outputs = _emit(cfg, report.to_json_dict())
     _write_manifest("pad-exp", cfg, [], outputs)
-    print(_padexp_table(report.to_json_dict()))
+    print(_padexp_table(report))
     _check_transport(agent)
     return 0
 
@@ -474,22 +485,12 @@ def cmd_train_toy(cfg: dict) -> int:
                             accumulate_groups=cfg["accumulate_groups"])
     payload = {
         "schema": "traintoy/1",
-        "mode": result.mode,
         "game_id": game.id,
-        "steps_run": result.steps_run,
-        "aborted": result.aborted,
-        "logits_changed": result.logits_changed,
+        **field_dict(result),
         "converged": result.converged,
-        "window": result.window,
-        "first_window_mean_exploit": result.first_window_mean_exploit,
-        "final_window_mean_exploit": result.final_window_mean_exploit,
-        "final_logits": list(result.final_logits),
-        "trace": [
-            {"step": t.step, "mean_reward": t.mean_reward,
-             "mean_exploit": t.mean_exploit, "grad_norm": t.grad_norm}
-            for t in result.trace
-        ],
+        "trace": [field_dict(t) for t in result.trace],
     }
+    del payload["initial_logits"]  # not part of the traintoy/1 format
     outputs = _emit(cfg, payload)
     _write_manifest("train-toy", cfg, [src] if src else [], outputs)
     print(
@@ -517,13 +518,12 @@ def _markdown_table(title: str, label: str, sizes, cells: dict) -> str:
     return "\n".join(lines)
 
 
-def _padexp_table(report: dict) -> str:
+def _padexp_table(report: PaddingCliffReport) -> str:
     return _markdown_table(
-        f"s@{report['tau']:g} by padding condition "
-        f"({report['count']} games, best of {report['k']})",
+        f"s@{report.tau:g} by padding condition ({report.count} games, best of {report.k})",
         "condition",
-        [report["base_n"], *report["targets"]],
-        {(r["condition"], r["n"]): (r["s_at_tau"], r["se"]) for r in report["rows"]},
+        [report.base_n, *report.targets],
+        {(r["condition"], r["n"]): (r["s_at_tau"], r["se"]) for r in report.rows},
     )
 
 
@@ -532,26 +532,20 @@ def cmd_report(cfg: dict) -> int:
     eval_rows = []
     blocks = []
     for path in paths:
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not JSON: {exc}") from None
-        schema = payload.get("schema")
-        if schema == "evalres/1":
-            eval_rows.append(payload)
-        elif schema == "padexp/1":
-            blocks.append(_padexp_table(payload))
+        payload = _read_json(path)
+        schema = _schema(payload)
+        if schema == EvalResult.schema:
+            eval_rows.append(EvalResult.from_json_dict(payload))
+        elif schema == PaddingCliffReport.schema:
+            blocks.append(_padexp_table(PaddingCliffReport.from_json_dict(payload)))
         else:
             raise ConfigError(f"{path}: cannot report on schema {schema!r}")
     if eval_rows:
         blocks.insert(0, _markdown_table(
-            f"success rate s@{eval_rows[0]['tau']:g} (± one standard error)",
+            f"success rate s@{eval_rows[0].tau:g} (± one standard error)",
             "agent",
-            sorted({r["n"] for r in eval_rows}),
-            {(r["agent"], r["n"]): (r["s_at_tau"], r["se_s"]) for r in eval_rows},
+            sorted({r.n for r in eval_rows}),
+            {(r.agent, r.n): (r.s_at_tau, r.se_s) for r in eval_rows},
         ))
     text = "\n\n".join(blocks) + "\n"
     out = cfg["out"]
@@ -576,10 +570,10 @@ _COMMANDS = {
     "gen": (cmd_gen, "generate a game set", [
         ("n", _as_int, None, True, "matrix size"),
         ("count", _as_int, 100, False, "number of games"),
-        ("dist", None, "integer", False, "integer|gaussian|sparse"),
+        ("dist", None, GameSpec.distribution, False, "|".join(DISTRIBUTIONS)),
         _SEED,
-        ("density", _as_float, 0.2, False, "sparse nonzero rate"),
-        ("normalize", _as_bool, True, False, "true|false"),
+        ("density", _as_float, GameSpec.sparse_density, False, "sparse nonzero rate"),
+        ("normalize", _as_bool, GameSpec.normalize, False, "true|false"),
         ("out", None, None, True, "output JSONL path"),
     ]),
     "pad": (cmd_pad, "embed games in larger matrices", [
@@ -609,7 +603,7 @@ _COMMANDS = {
     "audit": (cmd_audit, "metric invariance audits", [
         ("in", None, None, True, "games JSONL"),
         ("agent", None, "uniform", False, "probe agent"),
-        ("kind", None, "both", False, "permutation|affine|both"),
+        ("kind", None, "both", False, "|".join((*AUDIT_KINDS, "both"))),
         _SEED,
         ("out", None, None, False, "report JSON path"),
     ]),
@@ -633,10 +627,10 @@ _COMMANDS = {
         ("mode", None, "cooperative", False, "cooperative|role_merged"),
         ("steps", _as_int, 500, False, "training steps"),
         _SEED,
-        ("lr", _as_float, 1.0, False, "learning rate"),
-        ("group_size", _as_int, 8, False, "episodes per group"),
-        ("grid_m", _as_int, 11, False, "strategy grid points"),
-        ("kl_coef", _as_float, 0.0, False, "pull toward the initial policy"),
+        ("lr", _as_float, ToyPolicy.learning_rate, False, "learning rate"),
+        ("group_size", _as_int, ToyPolicy.group_size, False, "episodes per group"),
+        ("grid_m", _as_int, ToyPolicy.grid_m, False, "strategy grid points"),
+        ("kl_coef", _as_float, ToyPolicy.kl_coef, False, "pull toward the initial policy"),
         ("accumulate_groups", _as_int, 1, False, "groups per update"),
         ("in", None, None, False, "optional games JSONL (2x2 only)"),
         ("index", _as_int, 0, False, "record index within --in"),

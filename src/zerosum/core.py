@@ -18,9 +18,10 @@ read-only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,6 +42,62 @@ def content_digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
+# the values a field accepts, keyed by its annotation's text up to any "["
+# (modules defer annotations, so a field's type is a string); other fields,
+# such as "int | None" or a nested record, are not checked here
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
+               "tuple": tuple, "dict": dict}
+
+
+@functools.cache
+def _json_fields(cls) -> tuple:
+    """(name, accepted types or None) for each field of dataclass cls."""
+    return tuple((f.name, _JSON_TYPES.get(f.type.partition("[")[0])) for f in fields(cls))
+
+
+def field_dict(obj) -> dict:
+    """A dataclass's JSON form: each field by name, shallow.
+
+    A field value with a ``to_json_dict`` is replaced by its JSON form; any
+    other value is kept as it is (json writes a tuple as an array).
+    """
+    out = {}
+    for name, _ in _json_fields(type(obj)):
+        value = getattr(obj, name)
+        out[name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
+    return out
+
+
+def from_fields(cls, d, schema: str | None = None, **readers):
+    """Build dataclass cls from its JSON form d, the inverse of field_dict.
+
+    When schema is given, d must carry it as its "schema" tag. ``readers``
+    maps a field name to the reader of that field's JSON form; every other
+    JSON array becomes a tuple. A missing, unknown or wrongly typed key
+    raises ContractViolation.
+    """
+    if not isinstance(d, dict):
+        raise ContractViolation(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    if schema is not None:
+        if d.get("schema") != schema:
+            raise ContractViolation(f"expected schema {schema}, got {d.get('schema')!r}")
+        d = {k: v for k, v in d.items() if k != "schema"}
+    kwargs = {}
+    try:
+        for key, value in d.items():
+            if key in readers:
+                value = readers[key](value)
+            elif isinstance(value, list):
+                value = tuple(value)
+            kwargs[key] = value
+        for name, want in _json_fields(cls):
+            if want and name in kwargs and not isinstance(kwargs[name], want):
+                raise TypeError(f"{name} has the wrong type: {kwargs[name]!r}")
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise ContractViolation(f"bad {cls.__name__}: {exc}") from None
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
@@ -56,20 +113,9 @@ class MatrixMeta:
     normalized: bool = False
 
     def to_json_dict(self) -> dict:
-        d = {"normalized": self.normalized}
-        if self.seed is not None:
-            d["seed"] = self.seed
-        if self.distribution is not None:
-            d["distribution"] = self.distribution
-        return d
+        return {k: v for k, v in field_dict(self).items() if v is not None}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MatrixMeta":
-        return cls(
-            seed=d.get("seed"),
-            distribution=d.get("distribution"),
-            normalized=bool(d.get("normalized", False)),
-        )
+    from_json_dict = classmethod(from_fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +147,7 @@ class PayoffMatrix:
         return float(self.entries.max() - self.entries.min())
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [list(row) for row in self.entries.tolist()],
-            "meta": self.meta.to_json_dict(),
-        }
+        return {"n": self.n, "entries": self.entries.tolist(), "meta": self.meta.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PayoffMatrix":

@@ -23,7 +23,7 @@ Draw rules per distribution (row-major fills):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,10 +33,12 @@ from .core import (
     PayoffMatrix,
     StrategyPair,
     content_digest,
+    field_dict,
+    from_fields,
     normalize_payoffs,
 )
 from .errors import ConstructionError, ContractViolation
-from .rng import child_seed, generator
+from .rng import child_seed, generator, standard_normal
 from .solver import CERT_TOL, Equilibrium, raw_exploit, solve_zero_sum_lp
 
 DISTRIBUTIONS = ("integer", "gaussian", "sparse")
@@ -70,32 +72,18 @@ class GameSpec:
                 f"sparse_density must be in (0, 1], got {self.sparse_density}"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "distribution": self.distribution,
-            "seed": self.seed,
-            "normalize": self.normalize,
-            "sparse_density": self.sparse_density,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GameSpec":
-        return cls(
-            n=d["n"],
-            distribution=d["distribution"],
-            seed=d["seed"],
-            normalize=d.get("normalize", True),
-            sparse_density=d.get("sparse_density", 0.2),
-        )
+    to_json_dict = field_dict
+    from_json_dict = classmethod(from_fields)
 
 
-DEFAULT_TEMPLATE = GameSpec(n=2, distribution="integer", seed=0)
+DEFAULT_TEMPLATE = GameSpec(n=2)
 
 
 @dataclass(frozen=True, eq=False)
 class GameRecord:
     """A generated game: spec, raw draw, and the matrix agents are scored on."""
+
+    schema = "gamerec/1"
 
     spec: GameSpec
     matrix: PayoffMatrix
@@ -107,26 +95,17 @@ class GameRecord:
         return self.spec.n
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "gamerec/1",
-            "id": self.id,
-            "spec": self.spec.to_json_dict(),
-            "matrix": self.matrix.to_json_dict(),
-            "raw": self.raw.to_json_dict(),
-        }
+        return {"schema": self.schema, **field_dict(self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GameRecord":
-        if d.get("schema") != "gamerec/1":
-            raise ContractViolation(f"expected schema gamerec/1, got {d.get('schema')!r}")
-        spec = GameSpec.from_json_dict(d["spec"])
-        matrix = PayoffMatrix.from_json_dict(d["matrix"])
-        raw = PayoffMatrix.from_json_dict(d["raw"])
-        if spec.normalize:
-            expected = normalize_payoffs(raw)
-            if not np.array_equal(expected.entries, matrix.entries):
-                raise ContractViolation(f"record {d.get('id')}: matrix != normalize(raw)")
-        return cls(spec=spec, matrix=matrix, raw=raw, id=d["id"])
+        rec = from_fields(cls, d, cls.schema, spec=GameSpec.from_json_dict,
+                          matrix=PayoffMatrix.from_json_dict, raw=PayoffMatrix.from_json_dict)
+        if rec.spec.normalize and not np.array_equal(
+            normalize_payoffs(rec.raw).entries, rec.matrix.entries
+        ):
+            raise ContractViolation(f"record {rec.id}: matrix != normalize(raw)")
+        return rec
 
 
 def _draw_raw(spec: GameSpec) -> np.ndarray:
@@ -135,8 +114,6 @@ def _draw_raw(spec: GameSpec) -> np.ndarray:
     if spec.distribution == "integer":
         return rng.integers(-9, 10, size=(n, n)).astype(np.float64)
     if spec.distribution == "gaussian":
-        from .rng import standard_normal
-
         return standard_normal(rng, n * n).reshape(n, n)
     mask = rng.random((n, n)) < spec.sparse_density
     draws = rng.integers(0, 18, size=(n, n))
@@ -150,9 +127,7 @@ def sample_game(spec: GameSpec) -> GameRecord:
     meta = MatrixMeta(seed=spec.seed, distribution=spec.distribution, normalized=False)
     raw = PayoffMatrix(raw_entries, meta=meta)
     matrix = normalize_payoffs(raw) if spec.normalize else raw
-    gid = content_digest(
-        {"spec": spec.to_json_dict(), "raw": [list(r) for r in raw_entries.tolist()]}
-    )
+    gid = content_digest({"spec": spec.to_json_dict(), "raw": raw_entries.tolist()})
     return GameRecord(spec=spec, matrix=matrix, raw=raw, id=gid)
 
 
@@ -174,6 +149,8 @@ def make_eval_set(
 class PaddedGameRecord:
     """A base game embedded in a larger matrix, with placement maps."""
 
+    schema = "padrec/1"
+
     base: GameRecord
     padded: PayoffMatrix
     kind: str
@@ -192,32 +169,13 @@ class PaddedGameRecord:
         return self.padded.n
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "padrec/1",
-            "id": self.id,
-            "kind": self.kind,
-            "base": self.base.to_json_dict(),
-            "padded": self.padded.to_json_dict(),
-            "row_map": list(self.row_map),
-            "col_map": list(self.col_map),
-            "reference_pair": self.reference_pair.to_json_dict(),
-            "certificate": self.certificate,
-        }
+        return {"schema": self.schema, **field_dict(self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PaddedGameRecord":
-        if d.get("schema") != "padrec/1":
-            raise ContractViolation(f"expected schema padrec/1, got {d.get('schema')!r}")
-        return cls(
-            base=GameRecord.from_json_dict(d["base"]),
-            padded=PayoffMatrix.from_json_dict(d["padded"]),
-            kind=d["kind"],
-            row_map=tuple(d["row_map"]),
-            col_map=tuple(d["col_map"]),
-            reference_pair=StrategyPair.from_json_dict(d["reference_pair"]),
-            certificate=d["certificate"],
-            id=d["id"],
-        )
+        return from_fields(cls, d, cls.schema, base=GameRecord.from_json_dict,
+                           padded=PayoffMatrix.from_json_dict,
+                           reference_pair=StrategyPair.from_json_dict)
 
 
 def _zero_extend(pair: StrategyPair, row_map, col_map, n: int) -> StrategyPair:
@@ -229,13 +187,7 @@ def _zero_extend(pair: StrategyPair, row_map, col_map, n: int) -> StrategyPair:
 
 
 def _padded_id(kind: str, base: GameRecord, padded: np.ndarray) -> str:
-    return content_digest(
-        {
-            "kind": kind,
-            "base": base.id,
-            "padded": [list(r) for r in padded.tolist()],
-        }
-    )
+    return content_digest({"kind": kind, "base": base.id, "padded": padded.tolist()})
 
 
 def dominated_pad(

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 from . import solver
 from .agents import parse_response
-from .core import apply_affine, apply_permutation, exploitability, permute_pair
+from .core import (
+    apply_affine,
+    apply_permutation,
+    exploitability,
+    field_dict,
+    from_fields,
+    permute_pair,
+)
 from .errors import ContractViolation
 from .gen import GameSpec, dominated_pad, random_pad, sample_game
 from .rng import child_seed, generator
@@ -50,37 +57,15 @@ class GameResult:
     success: bool
     first_success: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "game_id": self.game_id,
-            "rewards": list(self.rewards),
-            "invalid": list(self.invalid),
-            "raw_texts": list(self.raw_texts),
-            "best_reward": self.best_reward,
-            "first_reward": self.first_reward,
-            "best_sample_index": self.best_sample_index,
-            "success": self.success,
-            "first_success": self.first_success,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GameResult":
-        return cls(
-            game_id=d["game_id"],
-            rewards=tuple(float(x) for x in d["rewards"]),
-            invalid=tuple(bool(x) for x in d["invalid"]),
-            raw_texts=tuple(d["raw_texts"]),
-            best_reward=float(d["best_reward"]),
-            first_reward=float(d["first_reward"]),
-            best_sample_index=d["best_sample_index"],
-            success=bool(d["success"]),
-            first_success=bool(d["first_success"]),
-        )
+    to_json_dict = field_dict
+    from_json_dict = classmethod(from_fields)
 
 
 @dataclass(frozen=True)
 class EvalResult:
     """Aggregate metrics over a game set for one agent."""
+
+    schema = "evalres/1"
 
     agent: str
     n: int
@@ -98,44 +83,13 @@ class EvalResult:
     games: tuple[GameResult, ...] = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "evalres/1",
-            "agent": self.agent,
-            "n": self.n,
-            "count": self.count,
-            "k": self.k,
-            "tau": self.tau,
-            "s_at_tau": self.s_at_tau,
-            "pass_at_1": self.pass_at_1,
-            "valid_rate": self.valid_rate,
-            "mean_best_reward": self.mean_best_reward,
-            "se_s": self.se_s,
-            "se_pass": self.se_pass,
-            "condition": self.condition,
-            "distribution": self.distribution,
-            "games": [g.to_json_dict() for g in self.games],
-        }
+        return {"schema": self.schema, **field_dict(self),
+                "games": [g.to_json_dict() for g in self.games]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EvalResult":
-        if d.get("schema") != "evalres/1":
-            raise ContractViolation(f"unknown result schema {d.get('schema')!r}")
-        return cls(
-            agent=d["agent"],
-            n=int(d["n"]),
-            count=int(d["count"]),
-            k=int(d["k"]),
-            tau=float(d["tau"]),
-            s_at_tau=float(d["s_at_tau"]),
-            pass_at_1=float(d["pass_at_1"]),
-            valid_rate=float(d["valid_rate"]),
-            mean_best_reward=float(d["mean_best_reward"]),
-            se_s=float(d["se_s"]),
-            se_pass=float(d["se_pass"]),
-            condition=d.get("condition", ""),
-            distribution=d.get("distribution", ""),
-            games=tuple(GameResult.from_json_dict(g) for g in d["games"]),
-        )
+        return from_fields(cls, d, cls.schema,
+                           games=lambda gs: tuple(GameResult.from_json_dict(g) for g in gs))
 
 
 def score_responses(game, responses, tau: float) -> GameResult:
@@ -237,6 +191,8 @@ def evaluate(
         raise ContractViolation("cannot evaluate an empty game set")
     if k < 1:
         raise ContractViolation(f"sample count k must be >= 1, got {k}")
+    if jobs < 1:
+        raise ContractViolation(f"jobs must be >= 1, got {jobs}")
     if not 0.0 < tau < 1.0:
         raise ContractViolation(f"tau must be in (0, 1), got {tau}")
     responses = _propose(agent, games, k, jobs)
@@ -249,6 +205,8 @@ def rescore(result: EvalResult, games) -> EvalResult:
     Parsing and scoring reuse the exact evaluation path, so the output
     matches the original run bit for bit.
     """
+    if not result.games:
+        raise ContractViolation("the stored result holds no games to rescore")
     by_id = {g.id: g for g in games}
     try:
         ordered = [by_id[gr.game_id] for gr in result.games]
@@ -279,13 +237,8 @@ class InvarianceReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "trials": self.trials,
-            "invalid": self.invalid,
-            "max_abs_diff": self.max_abs_diff,
-            "mean_abs_diff": self.mean_abs_diff,
+            **field_dict(self),
             "per_size_max": {str(k): v for k, v in sorted(self.per_size_max.items())},
-            "tol": self.tol,
             "ok": self.ok,
         }
 
@@ -361,6 +314,8 @@ def invariance_audit(agent, games, kinds=AUDIT_KINDS, seed: int = 0) -> list[Inv
 class PaddingCliffReport:
     """s@tau curves over target sizes for three padding conditions."""
 
+    schema = "padexp/1"
+
     base_n: int
     targets: tuple[int, ...]
     count: int
@@ -369,15 +324,11 @@ class PaddingCliffReport:
     rows: tuple[dict, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "padexp/1",
-            "base_n": self.base_n,
-            "targets": list(self.targets),
-            "count": self.count,
-            "k": self.k,
-            "tau": self.tau,
-            "rows": [dict(r) for r in self.rows],
-        }
+        return {"schema": self.schema, **field_dict(self)}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "PaddingCliffReport":
+        return from_fields(cls, d, cls.schema)
 
     def curve(self, condition: str) -> list[tuple[int, float]]:
         return [

@@ -15,11 +15,11 @@ Three families:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MixedStrategy, PayoffMatrix, StrategyPair, exploitability
+from .core import MixedStrategy, PayoffMatrix, StrategyPair, exploitability, field_dict
 from .errors import ContractViolation
 from .rng import child_seed, generator, standard_normal
 from .solver import raw_exploit, solve_zero_sum_lp
@@ -39,7 +39,7 @@ class _Report:
     kind: str
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, **asdict(self), "ok": self.ok}
+        return {"kind": self.kind, **field_dict(self), "ok": self.ok}
 
 
 @dataclass(frozen=True)

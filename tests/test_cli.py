@@ -418,3 +418,61 @@ class TestOptionResolution:
                      ["pad", "--config", "pad.cfg"]):
             assert cli_main(*argv) == 2
             assert "missing required option --target-n" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Input that cannot be read as the record it claims to be, and counts
+    below their floor, are input errors: exit 2, never a traceback."""
+
+    @pytest.fixture
+    def games(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main("gen", "--n", 3, "--count", 2, "--seed", 1, "--out", "g.jsonl") == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("text, error", [
+        ("not json", "not JSON"),
+        ('{"schema": "evalres/1", "agent": "x"}', "bad EvalResult"),
+        ('{"schema": "evalres/1", "agent": "x", "n": 3, "count": 0, "k": 1, "tau": 0.1, '
+         '"s_at_tau": 0.0, "pass_at_1": 0.0, "valid_rate": 0.0, "mean_best_reward": 0.0, '
+         '"se_s": 0.0, "se_pass": 0.0, "games": []}', "no games"),
+    ])
+    def test_rescore_of_a_malformed_result(self, games, capsys, text, error):
+        (games / "r.json").write_text(text + "\n")
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform",
+                        "--rescore", "r.json") == 2
+        assert error in capsys.readouterr().err
+
+    def test_solve_on_a_spec_with_a_string_size(self, games, capsys):
+        record = json.loads((games / "g.jsonl").read_text().splitlines()[0])
+        record["spec"]["n"] = "3"
+        (games / "bad.jsonl").write_text(json.dumps(record) + "\n")
+        assert cli_main("solve", "--in", "bad.jsonl") == 2
+        assert "bad GameSpec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", [
+        '{"schema": "evalres/1", "tau": 0.1}',
+        '{"schema": "padexp/1", "tau": 0.1}',
+        '[1, 2]',
+    ])
+    def test_report_on_a_partial_result(self, games, capsys, payload):
+        (games / "r.json").write_text(payload + "\n")
+        assert cli_main("report", "--in", "r.json") == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_negative_count(self, games, capsys):
+        assert cli_main("gen", "--n", 3, "--count", -2, "--seed", 1, "--out", "x.jsonl") == 2
+        assert "count must be >= 0" in capsys.readouterr().err
+        assert not (games / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one(self, games, capsys, jobs):
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform",
+                        "--jobs", jobs) == 2
+        assert cli_main("pad-exp", "--agent", "block:2", "--base-n", 2, "--targets", 4,
+                        "--count", 2, "--k", 1, "--seed", 1, "--jobs", jobs) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
+    def test_unknown_audit_kind(self, games, capsys):
+        assert cli_main("audit", "--in", "g.jsonl", "--seed", 1, "--kind", "bogus") == 2
+        assert "unknown audit kind 'bogus'" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Best-of-k scoring, aggregation, rescoring, metric audits, and the
 padding-cliff experiment harness."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from zerosum import (
     GameSpec,
     NoisyOracleAgent,
     OracleAgent,
+    PaddingCliffReport,
     PayoffMatrix,
     UniformAgent,
     binomial_se,
@@ -187,6 +189,9 @@ class TestEvaluate:
             evaluate(UniformAgent(), games, k=1, tau=0.0)
         with pytest.raises(ContractViolation):
             evaluate(UniformAgent(), games, k=1, tau=1.0)
+        for jobs in (0, -3):
+            with pytest.raises(ContractViolation):
+                evaluate(UniformAgent(), games, k=1, tau=0.10, jobs=jobs)
 
     def test_result_json_round_trip(self):
         games = make_eval_set(n=2, count=4, eval_seed=3)
@@ -328,3 +333,4 @@ class TestPaddingCliff:
         d = rep.to_json_dict()
         assert d["schema"] == "padexp/1"
         assert len(d["rows"]) == 6
+        assert PaddingCliffReport.from_json_dict(json.loads(canonical_json(d))) == rep

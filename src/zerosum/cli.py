@@ -42,7 +42,14 @@ from .agents import (
     RemoteModelConfig,
     UniformAgent,
 )
-from .core import PayoffMatrix, canonical_json, content_digest, field_dict, normalize_payoffs
+from .core import (
+    PayoffMatrix,
+    canonical_json,
+    content_digest,
+    field_dict,
+    normalize_payoffs,
+    raw_exploit,
+)
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -78,7 +85,6 @@ from .harness import (
 from .solver import (
     CERT_TOL,
     SUPPORT_ENUM_MAX_N,
-    raw_exploit,
     solve_zero_sum_lp,
     support_enumeration,
 )
@@ -523,7 +529,7 @@ def _padexp_table(report: PaddingCliffReport) -> str:
         f"s@{report.tau:g} by padding condition ({report.count} games, best of {report.k})",
         "condition",
         [report.base_n, *report.targets],
-        {(r["condition"], r["n"]): (r["s_at_tau"], r["se"]) for r in report.rows},
+        {(r.condition, r.n): (r.s_at_tau, r.se) for r in report.rows},
     )
 
 

@@ -151,10 +151,14 @@ class PayoffMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PayoffMatrix":
-        return cls(
+        matrix = cls(
             entries=np.array(d["entries"], dtype=np.float64),
             meta=MatrixMeta.from_json_dict(d.get("meta", {})),
         )
+        n = d.get("n")
+        if n != matrix.n:
+            raise ContractViolation(f"stored n {n!r} does not match {matrix.n}x{matrix.n} entries")
+        return matrix
 
 
 def strategy_checks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,6 +254,28 @@ def normalize_payoffs(matrix: PayoffMatrix) -> PayoffMatrix:
     return PayoffMatrix(arr, meta=replace(matrix.meta, normalized=True))
 
 
+def regrets(matrix: PayoffMatrix, pair: StrategyPair) -> tuple[float, float, float]:
+    """(row_regret, col_regret, value) of a pair, from one exploit_terms pass.
+
+    The one exploitability residual: the reward, the solver certificates
+    and the theorem checks all read it. Each regret is clamped at 0, a NaN
+    term included. Raises ContractViolation on dimension mismatch.
+    """
+    n = matrix.n
+    if pair.row.n != n or pair.col.n != n:
+        raise ContractViolation(
+            f"strategy lengths ({pair.row.n}, {pair.col.n}) do not match matrix size {n}"
+        )
+    max_aq, min_pa, value = exploit_terms(matrix.entries, pair.row.probs, pair.col.probs)
+    return max(0.0, max_aq - value), max(0.0, value - min_pa), value
+
+
+def raw_exploit(matrix: PayoffMatrix, pair: StrategyPair) -> float:
+    """Unnormalized exploitability row_regret + col_regret, constant matrices included."""
+    row_regret, col_regret, _ = regrets(matrix, pair)
+    return row_regret + col_regret
+
+
 def exploitability(matrix: PayoffMatrix, pair: StrategyPair) -> ExploitReport:
     """Score a strategy pair against a game.
 
@@ -257,19 +283,12 @@ def exploitability(matrix: PayoffMatrix, pair: StrategyPair) -> ExploitReport:
     divides by the payoff span; normalize_payoffs first) and
     ContractViolation on dimension mismatch.
     """
-    n = matrix.n
-    if pair.row.n != n or pair.col.n != n:
-        raise ContractViolation(
-            f"strategy lengths ({pair.row.n}, {pair.col.n}) do not match matrix size {n}"
-        )
+    row_regret, col_regret, value = regrets(matrix, pair)
     span = matrix.span
     if span <= 0.0:
         raise DegenerateMatrixError(
             "exploitability of a constant matrix is undefined; apply normalize_payoffs first"
         )
-    max_aq, min_pa, value = exploit_terms(matrix.entries, pair.row.probs, pair.col.probs)
-    row_regret = max(0.0, max_aq - value)
-    col_regret = max(0.0, value - min_pa)
     exploit = row_regret + col_regret
     normalized = exploit / (2.0 * span)
     return ExploitReport(

@@ -101,11 +101,19 @@ class GameRecord:
     def from_json_dict(cls, d: dict) -> "GameRecord":
         rec = from_fields(cls, d, cls.schema, spec=GameSpec.from_json_dict,
                           matrix=PayoffMatrix.from_json_dict, raw=PayoffMatrix.from_json_dict)
+        if rec.spec.n != rec.raw.n:
+            raise ContractViolation(f"record {rec.id}: spec n={rec.spec.n}, raw n={rec.raw.n}")
         if rec.spec.normalize and not np.array_equal(
             normalize_payoffs(rec.raw).entries, rec.matrix.entries
         ):
             raise ContractViolation(f"record {rec.id}: matrix != normalize(raw)")
+        if rec.id != _game_id(rec.spec, rec.raw.entries):
+            raise ContractViolation(f"record {rec.id}: id does not match its spec and raw entries")
         return rec
+
+
+def _game_id(spec: GameSpec, raw: np.ndarray) -> str:
+    return content_digest({"spec": spec.to_json_dict(), "raw": raw.tolist()})
 
 
 def _draw_raw(spec: GameSpec) -> np.ndarray:
@@ -127,8 +135,7 @@ def sample_game(spec: GameSpec) -> GameRecord:
     meta = MatrixMeta(seed=spec.seed, distribution=spec.distribution, normalized=False)
     raw = PayoffMatrix(raw_entries, meta=meta)
     matrix = normalize_payoffs(raw) if spec.normalize else raw
-    gid = content_digest({"spec": spec.to_json_dict(), "raw": raw_entries.tolist()})
-    return GameRecord(spec=spec, matrix=matrix, raw=raw, id=gid)
+    return GameRecord(spec=spec, matrix=matrix, raw=raw, id=_game_id(spec, raw_entries))
 
 
 def eval_game_spec(template: GameSpec, n: int, eval_seed: int, index: int) -> GameSpec:
@@ -173,21 +180,55 @@ class PaddedGameRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PaddedGameRecord":
-        return from_fields(cls, d, cls.schema, base=GameRecord.from_json_dict,
-                           padded=PayoffMatrix.from_json_dict,
-                           reference_pair=StrategyPair.from_json_dict)
-
-
-def _zero_extend(pair: StrategyPair, row_map, col_map, n: int) -> StrategyPair:
-    row = np.zeros(n)
-    row[list(row_map)] = pair.row.probs
-    col = np.zeros(n)
-    col[list(col_map)] = pair.col.probs
-    return StrategyPair(row=MixedStrategy(row), col=MixedStrategy(col))
+        rec = from_fields(cls, d, cls.schema, base=GameRecord.from_json_dict,
+                          padded=PayoffMatrix.from_json_dict,
+                          reference_pair=StrategyPair.from_json_dict)
+        if rec.id != _padded_id(rec.kind, rec.base, rec.padded.entries):
+            raise ContractViolation(f"padded record {rec.id}: id does not match its contents")
+        return rec
 
 
 def _padded_id(kind: str, base: GameRecord, padded: np.ndarray) -> str:
     return content_digest({"kind": kind, "base": base.id, "padded": padded.tolist()})
+
+
+def _pad_base_n(base: GameRecord, target_n: int) -> int:
+    if target_n <= base.n:
+        raise ContractViolation(f"target size {target_n} must exceed base size {base.n}")
+    return base.n
+
+
+def _padded_record(
+    base: GameRecord, padded: np.ndarray, kind: str, row_map, col_map,
+    base_eq: Equilibrium | None,
+) -> PaddedGameRecord:
+    """The record of padded entries that hold base at (row_map, col_map).
+
+    The reference pair is base_eq's pair zero-extended to the padded size;
+    the certificate holds base_eq's value and the reference pair's raw
+    exploitability on the padded game. base_eq is solved when not given.
+    """
+    if base_eq is None:
+        base_eq = solve_zero_sum_lp(base.matrix)
+    matrix = PayoffMatrix(padded, meta=replace(base.matrix.meta, normalized=False))
+    row_map = tuple(int(i) for i in row_map)
+    col_map = tuple(int(j) for j in col_map)
+    row = np.zeros(matrix.n)
+    row[list(row_map)] = base_eq.pair.row.probs
+    col = np.zeros(matrix.n)
+    col[list(col_map)] = base_eq.pair.col.probs
+    reference = StrategyPair(row=MixedStrategy(row), col=MixedStrategy(col))
+    return PaddedGameRecord(
+        base=base,
+        padded=matrix,
+        kind=kind,
+        row_map=row_map,
+        col_map=col_map,
+        reference_pair=reference,
+        certificate={"base_value": base_eq.value,
+                     "reference_exploit": raw_exploit(matrix, reference)},
+        id=_padded_id(kind, base, padded),
+    )
 
 
 def dominated_pad(
@@ -206,9 +247,7 @@ def dominated_pad(
     ConstructionError. ``base_eq`` is the base game's LP solution; it is
     solved here when not given.
     """
-    k = base.n
-    if target_n <= k:
-        raise ContractViolation(f"target size {target_n} must exceed base size {k}")
+    k = _pad_base_n(base, target_n)
     rng = generator(child_seed(base.spec.seed, _DOMINATED_TAG, target_n))
     a = base.matrix.entries
     lo = float(a.min())
@@ -226,39 +265,17 @@ def dominated_pad(
         shuffled = np.empty_like(padded)
         shuffled[np.ix_(row_pos, col_pos)] = padded
         padded = shuffled
-    row_map = tuple(int(x) for x in row_pos[:k])
-    col_map = tuple(int(x) for x in col_pos[:k])
-
-    if base_eq is None:
-        base_eq = solve_zero_sum_lp(base.matrix)
-    padded_matrix = PayoffMatrix(
-        padded, meta=replace(base.matrix.meta, normalized=False)
-    )
-    reference = _zero_extend(base_eq.pair, row_map, col_map, target_n)
-    resid = raw_exploit(padded_matrix, reference)
-    padded_eq = solve_zero_sum_lp(padded_matrix)
-    value_gap = abs(padded_eq.value - base_eq.value)
-    if resid > CERT_TOL or value_gap > CERT_TOL:
+    rec = _padded_record(base, padded, "dominated", row_pos[:k], col_pos[:k], base_eq)
+    cert = rec.certificate
+    padded_eq = solve_zero_sum_lp(rec.padded)
+    value_gap = abs(padded_eq.value - cert["base_value"])
+    if cert["reference_exploit"] > CERT_TOL or value_gap > CERT_TOL:
         raise ConstructionError(
-            f"dominated pad failed verification (exploit {resid:.3e}, "
+            f"dominated pad failed verification (exploit {cert['reference_exploit']:.3e}, "
             f"value gap {value_gap:.3e})",
             instance=padded,
         )
-    certificate = {
-        "base_value": base_eq.value,
-        "padded_value": padded_eq.value,
-        "reference_exploit": resid,
-    }
-    return PaddedGameRecord(
-        base=base,
-        padded=padded_matrix,
-        kind="dominated",
-        row_map=row_map,
-        col_map=col_map,
-        reference_pair=reference,
-        certificate=certificate,
-        id=_padded_id("dominated", base, padded),
-    )
+    return replace(rec, certificate={**cert, "padded_value": padded_eq.value})
 
 
 def random_pad(
@@ -274,9 +291,7 @@ def random_pad(
     recorded in the certificate for inspection. ``base_eq`` is the base
     game's LP solution; it is solved here when not given.
     """
-    k = base.n
-    if target_n <= k:
-        raise ContractViolation(f"target size {target_n} must exceed base size {k}")
+    k = _pad_base_n(base, target_n)
     surround_spec = replace(
         base.spec,
         n=target_n,
@@ -285,25 +300,4 @@ def random_pad(
     )
     padded = _draw_raw(surround_spec)
     padded[:k, :k] = base.matrix.entries
-    padded_matrix = PayoffMatrix(
-        padded, meta=replace(base.matrix.meta, normalized=False)
-    )
-    row_map = tuple(range(k))
-    col_map = tuple(range(k))
-    if base_eq is None:
-        base_eq = solve_zero_sum_lp(base.matrix)
-    reference = _zero_extend(base_eq.pair, row_map, col_map, target_n)
-    certificate = {
-        "base_value": base_eq.value,
-        "reference_exploit": raw_exploit(padded_matrix, reference),
-    }
-    return PaddedGameRecord(
-        base=base,
-        padded=padded_matrix,
-        kind="random",
-        row_map=row_map,
-        col_map=col_map,
-        reference_pair=reference,
-        certificate=certificate,
-        id=_padded_id("random", base, padded),
-    )
+    return _padded_record(base, padded, "random", range(k), range(k), base_eq)

@@ -311,6 +311,27 @@ def invariance_audit(agent, games, kinds=AUDIT_KINDS, seed: int = 0) -> list[Inv
 
 
 @dataclass(frozen=True)
+class CliffRow:
+    """One point of a padding-cliff curve: a condition at one size."""
+
+    condition: str
+    n: int
+    s_at_tau: float
+    pass_at_1: float
+    valid_rate: float
+    mean_best_reward: float
+    se: float
+
+    to_json_dict = field_dict
+    from_json_dict = classmethod(from_fields)
+
+    @classmethod
+    def of(cls, condition: str, n: int, res: EvalResult) -> "CliffRow":
+        return cls(condition=condition, n=n, s_at_tau=res.s_at_tau, pass_at_1=res.pass_at_1,
+                   valid_rate=res.valid_rate, mean_best_reward=res.mean_best_reward, se=res.se_s)
+
+
+@dataclass(frozen=True)
 class PaddingCliffReport:
     """s@tau curves over target sizes for three padding conditions."""
 
@@ -321,31 +342,19 @@ class PaddingCliffReport:
     count: int
     k: int
     tau: float
-    rows: tuple[dict, ...]
+    rows: tuple[CliffRow, ...]
 
     def to_json_dict(self) -> dict:
-        return {"schema": self.schema, **field_dict(self)}
+        return {"schema": self.schema, **field_dict(self),
+                "rows": [r.to_json_dict() for r in self.rows]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PaddingCliffReport":
-        return from_fields(cls, d, cls.schema)
+        return from_fields(cls, d, cls.schema,
+                           rows=lambda rs: tuple(CliffRow.from_json_dict(r) for r in rs))
 
     def curve(self, condition: str) -> list[tuple[int, float]]:
-        return [
-            (r["n"], r["s_at_tau"]) for r in self.rows if r["condition"] == condition
-        ]
-
-
-def _cliff_row(condition: str, n: int, res: EvalResult) -> dict:
-    return {
-        "condition": condition,
-        "n": n,
-        "s_at_tau": res.s_at_tau,
-        "pass_at_1": res.pass_at_1,
-        "valid_rate": res.valid_rate,
-        "mean_best_reward": res.mean_best_reward,
-        "se": res.se_s,
-    }
+        return [(r.n, r.s_at_tau) for r in self.rows if r.condition == condition]
 
 
 def padding_cliff_experiment(
@@ -378,9 +387,7 @@ def padding_cliff_experiment(
     base_eqs = [solver.solve_zero_sum_lp(b.matrix) for b in bases]
     base_res = evaluate(agent, bases, k=k, tau=tau, jobs=jobs,
                         condition="base", distribution="integer")
-    rows = [
-        _cliff_row(cond, base_n, base_res) for cond in ("dense", "dominated", "random")
-    ]
+    rows = [CliffRow.of(cond, base_n, base_res) for cond in ("dense", "dominated", "random")]
     for t in targets:
         dense = [draw(t, 2, t, i) for i in range(count)]
         dom = [dominated_pad(b, t, base_eq=eq) for b, eq in zip(bases, base_eqs)]
@@ -388,7 +395,7 @@ def padding_cliff_experiment(
         for cond, games in (("dense", dense), ("dominated", dom), ("random", rand)):
             res = evaluate(agent, games, k=k, tau=tau, jobs=jobs,
                            condition=cond, distribution="integer")
-            rows.append(_cliff_row(cond, t, res))
+            rows.append(CliffRow.of(cond, t, res))
     return PaddingCliffReport(
         base_n=base_n, targets=tuple(targets), count=count, k=k, tau=tau,
         rows=tuple(rows),

@@ -32,8 +32,13 @@ from itertools import combinations
 
 import numpy as np
 
-from ._kernels import exploit_terms, exploit_terms_batch, lp_kernel
-from .core import MixedStrategy, PayoffMatrix, StrategyPair, strategy_checks
+from ._kernels import exploit_terms_batch, lp_kernel
+from .core import MixedStrategy, PayoffMatrix, StrategyPair, regrets, strategy_checks
+
+# not called here: perfbench/tracing.py patches solver.exploit_terms and
+# solver.raw_exploit, and perfbench/workloads.py calls solver.raw_exploit
+from ._kernels import exploit_terms  # noqa: F401
+from .core import raw_exploit  # noqa: F401
 from .errors import ContractViolation, SolverError
 
 CERT_TOL = 1e-8          # exploitability certificate for returned equilibria
@@ -51,26 +56,6 @@ class Equilibrium:
     method: str
     iterations: int
     degenerate: bool
-
-
-def raw_exploit(matrix: PayoffMatrix, pair: StrategyPair) -> float:
-    """Unnormalized exploitability max_i (Aq)_i - min_j (p'A)_j, clamped at 0."""
-    if pair.row.n != matrix.n or pair.col.n != matrix.n:
-        raise ContractViolation(
-            f"strategy lengths ({pair.row.n}, {pair.col.n}) do not match matrix size {matrix.n}"
-        )
-    return _certificate(matrix.entries, pair.row.probs, pair.col.probs)[0]
-
-
-def _certificate(a: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """(raw exploitability, realized payoff p'Aq) from one exploit_terms pass."""
-    max_aq, min_pa, value = exploit_terms(a, p, q)
-    return max(0.0, max_aq - value) + max(0.0, value - min_pa), value
-
-
-def verify_equilibrium(matrix: PayoffMatrix, pair: StrategyPair, tol: float = CERT_TOL) -> bool:
-    """True when the pair's exploitability is at most tol."""
-    return raw_exploit(matrix, pair) <= tol
 
 
 def solve_zero_sum_lp(matrix: PayoffMatrix) -> Equilibrium:
@@ -98,7 +83,8 @@ def solve_zero_sum_lp(matrix: PayoffMatrix) -> Equilibrium:
         col=MixedStrategy(y / y.sum()),
     )
     value = 1.0 / obj - shift
-    resid, pay = _certificate(a, pair.row.probs, pair.col.probs)
+    row_regret, col_regret, pay = regrets(matrix, pair)
+    resid = row_regret + col_regret
     if resid > CERT_TOL:
         raise SolverError(f"LP solution failed its certificate (exploit {resid:.3e})", instance=a)
     if abs(pay - value) > CERT_TOL:
@@ -191,7 +177,7 @@ def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
         p_valid = _is_strategy(p)
         both = np.flatnonzero(row_ok & p_valid)
         max_aq, min_pa, values = exploit_terms_batch(a, p[both], q[both])
-        # fmax, like the max(0.0, x) in _certificate, maps NaN to 0.0
+        # the batched form of core.regrets; fmax, like its max(0.0, x), maps NaN to 0.0
         resid = np.fmax(0.0, max_aq - values) + np.fmax(0.0, values - min_pa)
         stop = (col_ok & ~q_valid) | (row_ok & ~p_valid)
         stop[both[resid <= CERT_TOL]] = True

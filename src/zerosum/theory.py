@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MixedStrategy, PayoffMatrix, StrategyPair, exploitability, field_dict
+from .core import MixedStrategy, PayoffMatrix, StrategyPair, exploitability, field_dict, raw_exploit
 from .errors import ContractViolation
 from .rng import child_seed, generator, standard_normal
-from .solver import raw_exploit, solve_zero_sum_lp
+from .solver import solve_zero_sum_lp
 
 LIPSCHITZ_SLACK = 1e-9
 
@@ -350,8 +350,10 @@ def toy_grpo_train(
     if accumulate_groups < 1:
         raise ContractViolation("accumulate_groups must be >= 1")
     m = policy.grid_m
-    grid_w = np.linspace(0.0, 1.0, m)
-    matrix = game.matrix
+    grid = [MixedStrategy(np.array([w, 1.0 - w])) for w in np.linspace(0.0, 1.0, m)]
+    # every episode plays a grid pair, so each pair is scored once up front
+    table = [[exploitability(game.matrix, StrategyPair(row=row, col=col)) for col in grid]
+             for row in grid]
     if policy.init_logits is None:
         logits = np.zeros(m)
     else:
@@ -374,13 +376,7 @@ def toy_grpo_train(
             payoffs = np.empty(g)
             coop = np.empty(g)
             for e in range(g):
-                w = grid_w[rows[e]]
-                v = grid_w[cols[e]]
-                pair = StrategyPair(
-                    row=MixedStrategy(np.array([w, 1.0 - w])),
-                    col=MixedStrategy(np.array([v, 1.0 - v])),
-                )
-                rep = exploitability(matrix, pair)
+                rep = table[rows[e]][cols[e]]
                 payoffs[e] = rep.value
                 coop[e] = rep.reward
                 exploits_seen.append(rep.normalized)

@@ -450,9 +450,26 @@ class TestMalformedInput:
         assert cli_main("solve", "--in", "bad.jsonl") == 2
         assert "bad GameSpec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, edit, error", [
+        ("g.jsonl", lambda r: r["matrix"].update(n=7), "stored n 7 does not match 3x3 entries"),
+        ("g.jsonl", lambda r: r["spec"].update(n=4), "spec n=4, raw n=3"),
+        ("g.jsonl", lambda r: r.update(id="x"), "record x: id does not match"),
+        ("p.jsonl", lambda r: r.update(id="x"), "padded record x: id does not match"),
+    ], ids=["matrix n", "spec n", "game id", "padded id"])
+    def test_solve_on_an_edited_record(self, games, capsys, path, edit, error):
+        assert cli_main("pad", "--in", "g.jsonl", "--kind", "random", "--target-n", 5,
+                        "--out", "p.jsonl") == 0
+        record = json.loads((games / path).read_text().splitlines()[0])
+        edit(record)
+        (games / "bad.jsonl").write_text(json.dumps(record) + "\n")
+        assert cli_main("solve", "--in", "bad.jsonl") == 2
+        assert error in capsys.readouterr().err
+
     @pytest.mark.parametrize("payload", [
         '{"schema": "evalres/1", "tau": 0.1}',
         '{"schema": "padexp/1", "tau": 0.1}',
+        '{"schema": "padexp/1", "base_n": 2, "targets": [4], "count": 1, "k": 1, '
+        '"tau": 0.1, "rows": [{}]}',
         '[1, 2]',
     ])
     def test_report_on_a_partial_result(self, games, capsys, payload):

@@ -303,8 +303,8 @@ class TestPaddingCliff:
             assert [n for n, _ in curve] == [2, 4, 6]
             assert all(0.0 <= s <= 1.0 for _, s in curve)
         # shared base point: all three conditions start from the same row
-        base_rows = [r for r in rep.rows if r["n"] == 2]
-        assert len({r["s_at_tau"] for r in base_rows}) == 1
+        base_rows = [r for r in rep.rows if r.n == 2]
+        assert len({r.s_at_tau for r in base_rows}) == 1
 
     def test_solves_each_base_game_once(self, monkeypatch):
         original = solver.solve_zero_sum_lp

@@ -10,6 +10,7 @@ import pytest
 
 from zerosum import _kernels as K
 from zerosum._kernels import PIV_TOL, RATIO_TIE_TOL, RC_TOL
+from zerosum.core import MixedStrategy, PayoffMatrix, StrategyPair, exploitability, raw_exploit
 from zerosum.gen import GameSpec, dominated_pad, random_pad, sample_game
 from zerosum.rng import child_seed
 
@@ -184,6 +185,21 @@ def test_exploit_terms_numpy_matches_reference_bitwise():
             ref = tuple(float(x).hex() for x in _exploit_terms_impl(a, pp, qq))
             got = tuple(float(x).hex() for x in K.exploit_terms(a, pp, qq))
             assert got == ref, (a, pp, qq)
+
+
+def test_raw_exploit_is_the_reward_residual_bitwise():
+    # the certificates and the reward read one residual
+    rng = np.random.default_rng(35)
+    for a in _parity_games():
+        n = a.shape[0]
+        m = PayoffMatrix(a)
+        p = rng.dirichlet(np.ones(n))
+        q = rng.dirichlet(np.ones(n))
+        first, last = np.eye(n)[0], np.eye(n)[-1]
+        for pp, qq in ((p, q), (first, q), (p, last), (first, last)):
+            pair = StrategyPair(row=MixedStrategy(pp), col=MixedStrategy(qq))
+            got = raw_exploit(m, pair)
+            assert got.hex() == exploitability(m, pair).exploit.hex(), (a, pp, qq)
 
 
 def test_exploit_terms_batch_matches_numpy_kernel_row_by_row():

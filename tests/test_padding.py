@@ -1,10 +1,13 @@
 """Padding constructions: dominated surrounds must preserve the base
 equilibrium, random surrounds must not."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from zerosum import (
+    ConstructionError,
     ContractViolation,
     GameSpec,
     PaddedGameRecord,
@@ -13,6 +16,7 @@ from zerosum import (
     raw_exploit,
     sample_game,
     solve_zero_sum_lp,
+    uniform_pair,
 )
 from zerosum.core import canonical_json
 
@@ -90,6 +94,18 @@ class TestDominatedPad:
         with pytest.raises(ContractViolation):
             dominated_pad(base, 2)
 
+    @pytest.mark.parametrize("wrong", [
+        lambda eq: replace(eq, value=eq.value + 1e-6),
+        lambda eq: replace(eq, pair=uniform_pair(3)),
+    ], ids=["value", "pair"])
+    def test_wrong_base_solution_fails_verification(self, wrong):
+        base = base_game(seed=4)
+        padded = dominated_pad(base, 8, shuffle=True).padded.entries
+        eq = solve_zero_sum_lp(base.matrix)
+        with pytest.raises(ConstructionError) as info:
+            dominated_pad(base, 8, shuffle=True, base_eq=wrong(eq))
+        assert np.array_equal(info.value.instance, padded)
+
 
 class TestRandomPad:
     def test_corner_holds_base(self):
@@ -106,6 +122,12 @@ class TestRandomPad:
         resid = raw_exploit(rec.padded, rec.reference_pair)
         assert rec.certificate["reference_exploit"] == resid
         assert "padded_value" not in rec.certificate
+
+    def test_rejects_non_growing_target(self):
+        base = base_game(seed=0)
+        for target in (3, 2):
+            with pytest.raises(ContractViolation):
+                random_pad(base, target)
 
     def test_random_surround_usually_breaks_the_equilibrium(self):
         # The control would be useless if the old equilibrium still held.

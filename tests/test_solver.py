@@ -12,6 +12,7 @@ from zerosum import (
     GameSpec,
     MixedStrategy,
     PayoffMatrix,
+    SolverError,
     StrategyPair,
     maximin_pure,
     raw_exploit,
@@ -19,9 +20,10 @@ from zerosum import (
     solve_zero_sum_lp,
     support_enumeration,
     uniform_pair,
-    verify_equilibrium,
 )
+from zerosum import solver
 from zerosum.rng import child_seed
+from zerosum.solver import CERT_TOL
 
 MP = PayoffMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -82,7 +84,6 @@ def test_every_solution_certifies():
         m = PayoffMatrix(rng.normal(size=(n, n)) * rng.uniform(0.2, 30))
         eq = solve_zero_sum_lp(m)
         assert raw_exploit(m, eq.pair) <= 1e-8
-        assert verify_equilibrium(m, eq.pair)
         assert eq.iterations >= 0
 
 
@@ -182,8 +183,28 @@ def test_solver_outputs_frozen_pin():
 
 def test_verify_equilibrium_rejects_non_equilibria():
     m = PayoffMatrix(np.array([[3.0, 0.0], [1.0, 2.0]]))
-    assert not verify_equilibrium(m, uniform_pair(2))
-    assert verify_equilibrium(MP, uniform_pair(2))
+    assert not raw_exploit(m, uniform_pair(2)) <= CERT_TOL
+    assert raw_exploit(m, solve_zero_sum_lp(m).pair) <= CERT_TOL
+    assert raw_exploit(MP, uniform_pair(2)) <= CERT_TOL
+
+
+@pytest.mark.parametrize("perturb, error", [
+    (lambda y, obj: (y * np.array([1.01, 1.0, 1.0]), obj), "failed its certificate"),
+    (lambda y, obj: (y, obj * 1.01), "disagrees with realized payoff"),
+], ids=["vertex", "objective"])
+def test_lp_rejects_a_perturbed_kernel_solution(monkeypatch, perturb, error):
+    original = solver.lp_kernel
+
+    def perturbed(ap, max_iter):
+        status, y, duals, obj, iters, degenerate = original(ap, max_iter)
+        y, obj = perturb(y, obj)
+        return status, y, duals, obj, iters, degenerate
+
+    monkeypatch.setattr(solver, "lp_kernel", perturbed)
+    m = PayoffMatrix(np.array([[3.0, 0.0, 1.0], [1.0, 2.0, 0.0], [0.0, 1.0, 2.0]]))
+    with pytest.raises(SolverError, match=error) as info:
+        solve_zero_sum_lp(m)
+    assert np.array_equal(info.value.instance, m.entries)
 
 
 def test_maximin_pure_selection():

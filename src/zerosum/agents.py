@@ -11,7 +11,10 @@ the normalized payoff matrix as a nested JSON list of repr floats, and the
 requested reply shape.
 
 Parsing contract: the first JSON object literal in the text containing both
-"row" and "col" keys is the candidate; failures are classified as one of
+"row" and "col" keys is the candidate. The scan tries, in text order, each
+"{" whose next character other than JSON whitespace (space, tab, newline,
+carriage return) is '"': at any other "{" a JSON object either fails to
+decode or is "{}", which holds neither key. Failures are classified as one of
   malformed          no parseable object with the keys / non-numeric weights
   missing_field      an object had exactly one of the two keys
   length_mismatch    vector lengths differ from the game size
@@ -23,7 +26,9 @@ renormalized (core.project_to_simplex).
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -70,20 +75,26 @@ def build_prompt(game) -> str:
     return _PROMPT.format(n=game.n, matrix=json.dumps(game.matrix.entries.tolist()))
 
 
+_DECODER = json.JSONDecoder()
+# "{", the whitespace the json scanner skips, then the quote opening a key
+_KEYED_OBJECT_START = re.compile(r'\{[ \t\n\r]*"')
+
+
 def _iter_json_objects(text: str):
-    dec = json.JSONDecoder()
-    idx = 0
-    while True:
-        start = text.find("{", idx)
-        if start < 0:
-            return
+    for match in _KEYED_OBJECT_START.finditer(text):
         try:
-            obj, _ = dec.raw_decode(text, start)
+            obj, _ = _DECODER.raw_decode(text, match.start())
         except ValueError:
-            idx = start + 1
             continue
         yield obj
-        idx = start + 1
+
+
+def _as_float(x) -> float:
+    """float(x), or +-inf for an int beyond float range, as json reads 1e999."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _as_weights(value, n: int):
@@ -94,7 +105,10 @@ def _as_weights(value, n: int):
         return None, "length_mismatch"
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
         return None, "malformed"
-    return np.array(value, dtype=np.float64), None
+    try:
+        return np.array(value, dtype=np.float64), None
+    except OverflowError:
+        return np.array([_as_float(x) for x in value], dtype=np.float64), None
 
 
 def parse_response(text: str, n: int) -> AgentResponse:
@@ -252,8 +266,9 @@ class RemoteModelAgent:
     Each sample issues {model, messages, temperature, max_tokens, n: 1};
     the bearer token is read from the env var named by config.auth_env. A
     semaphore caps in-flight calls when games are evaluated in parallel.
-    A 4xx reply other than 429 is not retried. Samples that exhaust their
-    retry budget, or stop on such a reply, become invalid (malformed)
+    A 4xx reply other than 429 is not retried. A reply without a string
+    message content is retried like a transport error. Samples that exhaust
+    their retry budget, or stop on a 4xx reply, become invalid (malformed)
     responses and count toward transport_failures.
     """
 
@@ -301,8 +316,12 @@ class RemoteModelAgent:
                 with self._sem, urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
                     status, payload = resp.status, resp.read()
                 if status == 200:
-                    return json.loads(payload)["choices"][0]["message"]["content"]
-                last_error = f"http {status}"
+                    content = json.loads(payload)["choices"][0]["message"]["content"]
+                    if isinstance(content, str):
+                        return content
+                    last_error = f"non-string content {type(content).__name__}"
+                else:
+                    last_error = f"http {status}"
             except urllib.error.HTTPError as exc:  # urlopen raises on 4xx/5xx
                 exc.close()
                 last_error = f"http {exc.code}"

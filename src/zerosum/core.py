@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -344,15 +345,17 @@ def project_to_simplex(weights) -> MixedStrategy | None:
 
     Vectors that are already valid simplex points (nonnegative, sum within
     1e-9 of 1) are returned unchanged, making projection idempotent and
-    serialize/parse round trips exact.
+    serialize/parse round trips exact. Non-finite weights, and finite ones
+    whose clamped mass overflows to inf, give None.
     """
     arr = np.asarray(weights, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] < 1 or not np.isfinite(arr).all():
         return None
-    if (arr >= 0.0).all() and abs(float(arr.sum()) - 1.0) <= SIMPLEX_SUM_TOL:
-        return MixedStrategy(arr)
-    clamped = np.maximum(arr, 0.0)
-    mass = float(clamped.sum())
-    if mass <= PROJECT_MIN_MASS:
+    with np.errstate(over="ignore"):  # a mass past float max sums to inf, rejected below
+        if (arr >= 0.0).all() and abs(float(arr.sum()) - 1.0) <= SIMPLEX_SUM_TOL:
+            return MixedStrategy(arr)
+        clamped = np.maximum(arr, 0.0)
+        mass = float(clamped.sum())
+    if not PROJECT_MIN_MASS < mass < math.inf:
         return None
     return MixedStrategy(clamped / mass)

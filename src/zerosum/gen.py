@@ -103,10 +103,11 @@ class GameRecord:
                           matrix=PayoffMatrix.from_json_dict, raw=PayoffMatrix.from_json_dict)
         if rec.spec.n != rec.raw.n:
             raise ContractViolation(f"record {rec.id}: spec n={rec.spec.n}, raw n={rec.raw.n}")
-        if rec.spec.normalize and not np.array_equal(
-            normalize_payoffs(rec.raw).entries, rec.matrix.entries
-        ):
-            raise ContractViolation(f"record {rec.id}: matrix != normalize(raw)")
+        if rec.spec.normalize:
+            if not np.array_equal(normalize_payoffs(rec.raw).entries, rec.matrix.entries):
+                raise ContractViolation(f"record {rec.id}: matrix != normalize(raw)")
+        elif rec.matrix.entries.tobytes() != rec.raw.entries.tobytes():
+            raise ContractViolation(f"record {rec.id}: matrix != raw")
         if rec.id != _game_id(rec.spec, rec.raw.entries):
             raise ContractViolation(f"record {rec.id}: id does not match its spec and raw entries")
         return rec

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -25,6 +26,7 @@ from zerosum import (
     build_prompt,
     dominated_pad,
     parse_response,
+    project_to_simplex,
     raw_exploit,
     sample_game,
     serialize_pair,
@@ -103,6 +105,26 @@ class TestParseTaxonomy:
     def test_nan_weights_degenerate(self):
         t = '{"row": [NaN, 1], "col": [1, 0]}'
         assert parse_response(t, 2).parse_error == "degenerate_weights"
+
+    def test_overflowing_mass_degenerate_without_warning(self):
+        for row in ("[1e308, 1e308, 1e308]", "[1e308, 1e308, -1]"):
+            t = '{"row": ' + row + ', "col": [1, 0, 0]}'
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert parse_response(t, 3).parse_error == "degenerate_weights"
+
+    def test_int_beyond_float_range_degenerate(self):
+        # the smallest int float() rounds to 2**1024, a 401-digit power of
+        # ten, and their negations are read as +-inf, as json reads 1e999
+        for big in (2 ** 1024 - 2 ** 970, 10 ** 400, -(10 ** 400)):
+            t = json.dumps({"row": [big, 1, 0], "col": [1, 0, 0]})
+            assert parse_response(t, 3).parse_error == "degenerate_weights"
+
+    def test_large_ints_keep_their_bits(self):
+        for row in ([2 ** 1024 - 2 ** 970 - 1, 0, 0], [10 ** 300, 3, 2 ** 53 + 1]):
+            r = parse_response(json.dumps({"row": row, "col": [1, 0, 0]}), 3)
+            want = project_to_simplex(np.array(row, dtype=np.float64)).probs
+            assert r.parsed.row.probs.tobytes() == want.tobytes()
 
     def test_negative_entries_clamped_then_renormalized(self):
         t = '{"row": [-0.2, 0.4, 0.8], "col": [1, 0, 0]}'
@@ -336,6 +358,17 @@ class TestRemoteAgent:
         assert len(server.requests) == 4  # retries+1 per sample
         rows = [json.loads(line) for line in audit.read_text().splitlines()]
         assert all(r["parse_error"] == "malformed" for r in rows)
+
+    @pytest.mark.parametrize("content", [None, 7, {"row": [1, 0], "col": [0, 1]}])
+    def test_non_string_content_is_a_transport_failure(self, content):
+        with scripted_server(fallback_content=content) as (url, server):
+            cfg = RemoteModelConfig(endpoint=url, model="m", retries=1)
+            agent = RemoteModelAgent(cfg)
+            out = agent.propose(GAME, 2)
+        assert all(r.parse_error == "malformed" for r in out)
+        assert all(r.raw_text == "" for r in out)
+        assert agent.transport_failures == 2
+        assert len(server.requests) == 4  # retried like a transport error
 
     def test_unparseable_content_is_invalid_but_not_transport(self):
         with scripted_server(fallback_content="no strategy here") as (url, _):

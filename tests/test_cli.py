@@ -465,6 +465,15 @@ class TestMalformedInput:
         assert cli_main("solve", "--in", "bad.jsonl") == 2
         assert error in capsys.readouterr().err
 
+    def test_solve_on_an_unnormalized_record_with_an_edited_matrix(self, games, capsys):
+        assert cli_main("gen", "--n", 3, "--count", 1, "--seed", 1, "--normalize", "false",
+                        "--out", "u.jsonl") == 0
+        record = json.loads((games / "u.jsonl").read_text())
+        record["matrix"]["entries"] = [[-x for x in row] for row in record["matrix"]["entries"]]
+        (games / "bad.jsonl").write_text(json.dumps(record) + "\n")
+        assert cli_main("solve", "--in", "bad.jsonl") == 2
+        assert "matrix != raw" in capsys.readouterr().err
+
     @pytest.mark.parametrize("payload", [
         '{"schema": "evalres/1", "tau": 0.1}',
         '{"schema": "padexp/1", "tau": 0.1}',

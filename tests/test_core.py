@@ -2,6 +2,7 @@
 transforms it must respect."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,10 @@ class TestProjection:
         assert project_to_simplex(np.array([-1.0, -2.0])) is None
         assert project_to_simplex(np.array([np.nan, 1.0])) is None
         assert project_to_simplex(np.array([np.inf, 1.0])) is None
+        with warnings.catch_warnings():  # finite weights whose mass overflows
+            warnings.simplefilter("error")
+            assert project_to_simplex(np.array([1e308, 1e308, 1e308])) is None
+            assert project_to_simplex(np.array([1e308, 1e308, -1.0])) is None
 
     def test_serialize_parse_round_trip_exact(self):
         rng = np.random.default_rng(10)

@@ -97,13 +97,17 @@ def _as_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+# the types json decodes a number to; bool, a subclass of int, is not one
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _as_weights(value, n: int):
-    """(weights, error) for one strategy field."""
+    """(weights, error) for one strategy field, as json decoded it."""
     if not isinstance(value, list):
         return None, "malformed"
     if len(value) != n:
         return None, "length_mismatch"
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value):
+    if not _NUMBER_TYPES.issuperset(map(type, value)):
         return None, "malformed"
     try:
         return np.array(value, dtype=np.float64), None

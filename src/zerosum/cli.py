@@ -24,6 +24,7 @@ theorem check, rescore mismatch); 4 every remote sample failed transport.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -649,7 +650,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="zerosum",
         description="Matrix-game benchmark: generation, solving, evaluation, checks.",

@@ -22,6 +22,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from .errors import ContractViolation, DegenerateMatrixError
 
 SIMPLEX_SUM_TOL = 1e-9    # |sum - 1| allowed for a valid mixed strategy
 PROJECT_MIN_MASS = 1e-12  # post-clamp mass below this cannot be renormalized
+_HALF_FLOAT_MAX = sys.float_info.max / 2
 
 
 def canonical_json(obj) -> str:
@@ -99,6 +101,14 @@ def from_fields(cls, d, schema: str | None = None, **readers):
         raise ContractViolation(f"bad {cls.__name__}: {exc}") from None
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """np.asarray(values, float64); an int beyond float range is a ContractViolation."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ContractViolation(f"{what} must be finite, got an int beyond float range") from None
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
@@ -127,7 +137,7 @@ class PayoffMatrix:
     meta: MatrixMeta = MatrixMeta()
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
+        arr = _float_array(self.entries, "payoff entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ContractViolation(f"payoff matrix must be square 2-D, got shape {arr.shape}")
         if arr.shape[0] < 2:
@@ -143,8 +153,9 @@ class PayoffMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    @property
+    @functools.cached_property
     def span(self) -> float:
+        """max - min of the entries, computed once: the matrix is immutable."""
         return float(self.entries.max() - self.entries.min())
 
     def to_json_dict(self) -> dict:
@@ -153,7 +164,7 @@ class PayoffMatrix:
     @classmethod
     def from_json_dict(cls, d: dict) -> "PayoffMatrix":
         matrix = cls(
-            entries=np.array(d["entries"], dtype=np.float64),
+            entries=d["entries"],
             meta=MatrixMeta.from_json_dict(d.get("meta", {})),
         )
         n = d.get("n")
@@ -183,7 +194,7 @@ class MixedStrategy:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
+        arr = _float_array(self.probs, "strategy weights")
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ContractViolation(f"strategy must be a nonempty vector, got shape {arr.shape}")
         finite, nonnegative, sums_to_one = strategy_checks(arr)
@@ -194,6 +205,18 @@ class MixedStrategy:
         if not sums_to_one:
             raise ContractViolation(f"strategy weights sum to {arr.sum()!r}, not 1")
         object.__setattr__(self, "probs", _frozen_array(arr))
+
+    @classmethod
+    def _owning(cls, probs: np.ndarray) -> "MixedStrategy":
+        """The strategy of probs, a new float64 vector its caller has checked.
+
+        probs is frozen in place and not checked again; only
+        project_to_simplex, which checks its vector once, builds this way.
+        """
+        probs.setflags(write=False)
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "probs", probs)
+        return strategy
 
     @property
     def n(self) -> int:
@@ -242,7 +265,10 @@ def normalize_payoffs(matrix: PayoffMatrix) -> PayoffMatrix:
 
     A constant matrix has no scale to normalize, so entry (0, 0) is bumped
     by +1 first; the result has span 2 up to a few units of rounding.
-    Provenance metadata is kept and the normalized flag set.
+    Provenance metadata is kept and the normalized flag set. A span that
+    overflows float range (entries near +-1e308), or one so small that
+    2 / span does (a subnormal span, or a constant matrix whose bump is
+    lost to rounding), raises ContractViolation.
     """
     arr = np.array(matrix.entries)
     lo = arr.min()
@@ -251,6 +277,13 @@ def normalize_payoffs(matrix: PayoffMatrix) -> PayoffMatrix:
         arr[0, 0] += 1.0
         lo = arr.min()
         hi = arr.max()
+    span = float(hi) - float(lo)
+    if not math.isfinite(span):
+        raise ContractViolation(
+            f"payoff span {float(hi)!r} - {float(lo)!r} overflows float range; cannot normalize"
+        )
+    if not (span > 0.0 and math.isfinite(2.0 / span)):
+        raise ContractViolation(f"payoff span {span!r} is too small: 2 / span overflows float range")
     arr *= 2.0 / (hi - lo)
     return PayoffMatrix(arr, meta=replace(matrix.meta, normalized=True))
 
@@ -340,6 +373,14 @@ def apply_affine(matrix: PayoffMatrix, scale: float, shift: float) -> PayoffMatr
     )
 
 
+def _mass(arr: np.ndarray, can_overflow: bool) -> float:
+    """float(arr.sum()); when can_overflow, a sum past float max is inf without a warning."""
+    if not can_overflow:
+        return float(arr.sum())
+    with np.errstate(over="ignore"):
+        return float(arr.sum())
+
+
 def project_to_simplex(weights) -> MixedStrategy | None:
     """Clamp negatives to zero and renormalize; None if nothing remains.
 
@@ -347,15 +388,28 @@ def project_to_simplex(weights) -> MixedStrategy | None:
     1e-9 of 1) are returned unchanged, making projection idempotent and
     serialize/parse round trips exact. Non-finite weights, and finite ones
     whose clamped mass overflows to inf, give None.
+
+    The weights are checked once, on the Python floats of one tolist():
+    finiteness by math.isfinite and the sign by min() >= 0.0. Sums are
+    numpy's arr.sum(), so the tolerance decision and the divisor keep the
+    bits MixedStrategy's own check would see; np.errstate is entered only
+    when max * n could overflow. The strategy is built without MixedStrategy
+    repeating the checks: it owns a read-only copy of a valid vector, or
+    the clamped vector over its mass. That quotient is finite, nonnegative
+    and sums to 1 within a few ulps times log n, far inside SIMPLEX_SUM_TOL.
     """
     arr = np.asarray(weights, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 1 or not np.isfinite(arr).all():
+    if arr.ndim != 1 or arr.shape[0] < 1:
         return None
-    with np.errstate(over="ignore"):  # a mass past float max sums to inf, rejected below
-        if (arr >= 0.0).all() and abs(float(arr.sum()) - 1.0) <= SIMPLEX_SUM_TOL:
-            return MixedStrategy(arr)
-        clamped = np.maximum(arr, 0.0)
-        mass = float(clamped.sum())
+    values = arr.tolist()
+    if not all(map(math.isfinite, values)):
+        return None
+    # no partial sum of n weights each below max / 2n reaches float max
+    can_overflow = max(values) * len(values) >= _HALF_FLOAT_MAX
+    if min(values) >= 0.0 and abs(_mass(arr, can_overflow) - 1.0) <= SIMPLEX_SUM_TOL:
+        return MixedStrategy._owning(np.array(arr))
+    clamped = np.maximum(arr, 0.0)  # also turns -0.0 into +0.0
+    mass = _mass(clamped, can_overflow)
     if not PROJECT_MIN_MASS < mass < math.inf:
         return None
-    return MixedStrategy(clamped / mass)
+    return MixedStrategy._owning(clamped / mass)

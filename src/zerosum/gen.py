@@ -36,6 +36,7 @@ from .core import (
     field_dict,
     from_fields,
     normalize_payoffs,
+    regrets,
 )
 from .errors import ConstructionError, ContractViolation
 from .rng import child_seed, generator, standard_normal
@@ -186,7 +187,63 @@ class PaddedGameRecord:
                           reference_pair=StrategyPair.from_json_dict)
         if rec.id != _padded_id(rec.kind, rec.base, rec.padded.entries):
             raise ContractViolation(f"padded record {rec.id}: id does not match its contents")
+        problem = _padded_problem(rec)
+        if problem:
+            raise ContractViolation(f"padded record {rec.id}: {problem}")
         return rec
+
+
+# the certificate keys each kind of padded record is written with
+_CERTIFICATE_KEYS = {
+    "dominated": {"base_value", "reference_exploit", "padded_value"},
+    "random": {"base_value", "reference_exploit"},
+}
+
+
+def _padded_problem(rec: PaddedGameRecord) -> str | None:
+    """What a padded record read from JSON gets wrong, or None.
+
+    The id covers only the kind, the base id and the padded entries, so the
+    rest is re-checked here without an LP: the maps place the base matrix
+    in the padded one, the reference pair is zero outside them and
+    certifies the base game at base_value, the stored reference_exploit is
+    the pair's raw exploitability on the padded game bit for bit, and a
+    dominated pad's pair certifies the padded game at padded_value.
+    """
+    cert = rec.certificate
+    if rec.kind not in _CERTIFICATE_KEYS:
+        return f"unknown kind {rec.kind!r}"
+    if set(cert) != _CERTIFICATE_KEYS[rec.kind] or not all(type(v) is float for v in cert.values()):
+        return f"certificate is not the {rec.kind} certificate: {cert!r}"
+    big, k = rec.n, rec.base.n
+    if big <= k:
+        return f"padded size {big} does not exceed the base size {k}"
+    for name, index in (("row_map", rec.row_map), ("col_map", rec.col_map)):
+        if len(index) != k or len(set(index)) != k or not all(
+            type(i) is int and 0 <= i < big for i in index
+        ):
+            return f"{name} {index!r} is not {k} distinct indices below {big}"
+    rows, cols = list(rec.row_map), list(rec.col_map)
+    if rec.padded.entries[np.ix_(rows, cols)].tobytes() != rec.base.matrix.entries.tobytes():
+        return "padded entries at the maps differ from the base matrix"
+    row, col = rec.reference_pair.row.probs, rec.reference_pair.col.probs
+    if row.shape != (big,) or col.shape != (big,):
+        return f"reference pair does not have {big} weights per player"
+    if np.delete(row, rows).any() or np.delete(col, cols).any():
+        return "reference pair is nonzero outside the maps"
+    base_pair = StrategyPair(row=MixedStrategy(row[rows]), col=MixedStrategy(col[cols]))
+    row_regret, col_regret, value = regrets(rec.base.matrix, base_pair)
+    if row_regret + col_regret > CERT_TOL or abs(value - cert["base_value"]) > CERT_TOL:
+        return "reference pair does not certify the base game at base_value"
+    row_regret, col_regret, value = regrets(rec.padded, rec.reference_pair)
+    exploit = row_regret + col_regret  # raw_exploit(padded, reference_pair)
+    if cert["reference_exploit"].hex() != exploit.hex():
+        return f"reference_exploit {cert['reference_exploit']!r} is not the pair's {exploit!r}"
+    if rec.kind == "dominated" and (
+        exploit > CERT_TOL or abs(value - cert["padded_value"]) > CERT_TOL
+    ):
+        return "reference pair does not certify the padded game at padded_value"
+    return None
 
 
 def _padded_id(kind: str, base: GameRecord, padded: np.ndarray) -> str:

@@ -4,10 +4,13 @@ absolute `src/` first on the child's PYTHONPATH, so the CLI under test is
 this checkout's, with or without an installed zerosum. The checks at the end
 call `cli.main` in process: pinned manifest ids and option resolution."""
 
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -420,6 +423,37 @@ class TestOptionResolution:
             assert "missing required option --target-n" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_answers_like_a_fresh_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        (["gen", "--n", "3", "--count", "2", "--seed", "1", "--out", "g.jsonl"], 0),
+        (["eval", "--in", "g.jsonl", "--agent", "uniform", "--out", "r.json"], 0),
+        (["eval", "--in", "g.jsonl", "--bogus", "1"], 2),
+        (["--help"], 0),
+        (["eval", "--help"], 0),
+    ]
+
+    def parse(parser, argv):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+        out = capsys.readouterr()
+        return result, out.out, out.err
+
+    for argv, code in runs:
+        try:
+            assert cli.main(argv) == code
+        except SystemExit as exc:  # argparse exits on --help and on a bad flag
+            assert exc.code == code
+        ran = capsys.readouterr()
+        cached = parse(cli._build_parser(), argv)
+        assert cached == parse(cli._build_parser.__wrapped__(), argv)
+        if not isinstance(cached[0], argparse.Namespace):  # main printed the parser's words
+            assert (ran.out, ran.err) == cached[1:]
+    assert cli._build_parser() is cli._build_parser()
+
+
 class TestMalformedInput:
     """Input that cannot be read as the record it claims to be, and counts
     below their floor, are input errors: exit 2, never a traceback."""
@@ -473,6 +507,59 @@ class TestMalformedInput:
         (games / "bad.jsonl").write_text(json.dumps(record) + "\n")
         assert cli_main("solve", "--in", "bad.jsonl") == 2
         assert "matrix != raw" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda r: r["raw"]["entries"][0].__setitem__(0, 10 ** 400),
+         "payoff entries must be finite, got an int beyond float range"),
+        (lambda r: r["raw"]["entries"][0].__setitem__(slice(0, 2), [1e308, -1e308]),
+         "overflows float range; cannot normalize"),
+    ], ids=["int beyond float range", "span beyond float range"])
+    def test_solve_on_a_record_with_an_overflowing_payoff(self, games, capsys, edit, error):
+        record = json.loads((games / "g.jsonl").read_text().splitlines()[0])
+        edit(record)
+        (games / "bad.jsonl").write_text(json.dumps(record) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main("solve", "--in", "bad.jsonl") == 2
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, edit, error", [
+        ("dominated", lambda r: r["certificate"].update(padded_value=99.0),
+         "does not certify the padded game at padded_value"),
+        ("dominated", lambda r: r.update(row_map=[4, 3, 2]),
+         "padded entries at the maps differ from the base matrix"),
+        ("dominated", lambda r: r.update(col_map=[0, 0, 1]), "is not 3 distinct indices below 5"),
+        ("random", lambda r: r.update(row_map=[0, 1, 5]), "is not 3 distinct indices below 5"),
+        ("random", lambda r: r.update(kind="shifted"), "id does not match"),
+        ("random", lambda r: r["certificate"].update(extra=1.0), "is not the random certificate"),
+        ("dominated", lambda r: r["certificate"].pop("padded_value"),
+         "is not the dominated certificate"),
+        ("random", lambda r: r["certificate"].update(base_value=1), "is not the random certificate"),
+        ("random", lambda r: r["certificate"].update(base_value=r["certificate"]["base_value"] + 1e-6),
+         "does not certify the base game at base_value"),
+        ("random", lambda r: r["certificate"].update(
+            reference_exploit=math.nextafter(r["certificate"]["reference_exploit"], 1.0)),
+         "reference_exploit"),
+        ("random", lambda r: r["reference_pair"].update(row=[0.0, 0.0, 0.0, 0.0, 1.0]),
+         "reference pair is nonzero outside the maps"),
+        ("dominated", lambda r: r["reference_pair"].update(col=[1.0, 0.0, 0.0, 0.0, 0.0]),
+         "does not certify the base game at base_value"),
+        ("random", lambda r: r["reference_pair"].update(row=[10 ** 400, 0, 0, 0, 0]),
+         "strategy weights must be finite, got an int beyond float range"),
+    ], ids=["padded_value", "row_map moved", "col_map repeats", "row_map out of range",
+            "kind", "extra certificate key", "missing certificate key", "int certificate value",
+            "base_value", "reference_exploit", "pair outside the maps", "pair off equilibrium",
+            "pair weight beyond float range"])
+    def test_solve_on_an_edited_padded_record(self, games, capsys, kind, edit, error):
+        assert cli_main("pad", "--in", "g.jsonl", "--kind", kind, "--target-n", 5,
+                        "--out", "p.jsonl") == 0
+        record = json.loads((games / "p.jsonl").read_text().splitlines()[0])
+        assert cli_main("solve", "--in", "p.jsonl") == 0
+        edit(record)
+        (games / "bad.jsonl").write_text(json.dumps(record) + "\n")
+        capsys.readouterr()
+        assert cli_main("solve", "--in", "bad.jsonl") == 2
+        assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [
         '{"schema": "evalres/1", "tau": 0.1}',

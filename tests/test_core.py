@@ -85,6 +85,20 @@ class TestNormalize:
             m = normalize_payoffs(PayoffMatrix(rng.normal(size=(n, n)) * 40))
             assert m.span == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("entries, error", [
+        ([[1e308, -1e308], [0.0, 0.0]], "overflows float range; cannot normalize"),
+        ([[5e-324, 0.0], [0.0, 0.0]], "span 5e-324 is too small"),
+        ([[1e20, 1e20], [1e20, 1e20]], "span 0.0 is too small"),  # the +1 bump rounds away
+    ])
+    def test_span_beyond_float_range_is_rejected_without_a_warning(self, entries, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match=error):
+                normalize_payoffs(PayoffMatrix(np.array(entries)))
+            tiny = normalize_payoffs(PayoffMatrix(np.array([[2.2250738585072014e-308, 0.0],
+                                                            [0.0, 0.0]])))
+        assert tiny.entries[0, 0] == 2.0
+
     def test_fixed_point_on_span_two_matrices(self):
         m = normalize_payoffs(PayoffMatrix(MP))
         assert np.array_equal(m.entries, MP)
@@ -153,6 +167,49 @@ class TestTransforms:
                                    permute_pair(pair, rp, cp))
             assert base.exploit == moved.exploit
             assert base.reward == moved.reward
+
+    def test_permutation_equivariance_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        entries = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-10, 10),
+            st.integers(-9, 9).map(float),
+            st.just(-0.0),
+        )
+
+        def strategies(n):
+            pure = st.integers(0, n - 1).map(lambda i: MixedStrategy.one_hot(n, i))
+            weights = hnp.arrays(np.float64, n, elements=st.floats(0, 1))
+            mixed = weights.map(project_to_simplex).filter(lambda s: s is not None)
+            return st.one_of(pure, mixed)
+
+        @st.composite
+        def instances(draw):
+            n = draw(st.integers(2, 12))
+            a = draw(hnp.arrays(np.float64, (n, n), elements=entries))
+            pair = StrategyPair(row=draw(strategies(n)), col=draw(strategies(n)))
+            rp = draw(st.permutations(range(n)))
+            cp = draw(st.permutations(range(n)))
+            return PayoffMatrix(a), pair, rp, cp
+
+        # no shrink phase: shrinking a failing 12 x 12 example ran for minutes
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                             phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+        @hypothesis.given(instances())
+        def check(instance):
+            m, pair, rp, cp = instance
+            hypothesis.assume(m.span > 0.0)
+            base = exploitability(m, pair)
+            base_again = exploitability(m, pair)  # reads the cached span
+            moved = exploitability(apply_permutation(m, rp, cp), permute_pair(pair, rp, cp))
+            # repr tells -0.0 from 0.0; every field, the reward included, is bitwise equal
+            assert repr(base) == repr(base_again) == repr(moved)
+
+        with np.errstate(over="ignore", invalid="ignore"):  # entries near float max
+            check()
 
     def test_permutation_layout(self):
         m = PayoffMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))

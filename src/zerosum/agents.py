@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PayoffMatrix, StrategyPair, content_digest, project_to_simplex
+from .core import PayoffMatrix, StrategyPair, content_digest, from_fields, project_to_simplex
 from .errors import ConfigError, ContractViolation
 from .rng import child_seed, generator
 from .solver import maximin_pure, solve_zero_sum_lp, uniform_pair
@@ -257,11 +257,10 @@ class RemoteModelConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RemoteModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown remote config keys: {sorted(unknown)}")
-        return cls(**d)
+        try:
+            return from_fields(cls, d)
+        except ContractViolation as exc:  # a missing, unknown or wrongly typed key
+            raise ConfigError(str(exc)) from None
 
 
 class RemoteModelAgent:

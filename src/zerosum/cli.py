@@ -171,10 +171,14 @@ def _digest_file(path: str) -> str:
     return h.hexdigest()[:16]
 
 
-def _write_manifest(command: str, cfg: dict, inputs, outputs):
+def _write(command: str, cfg: dict, inputs, lines) -> None:
+    """Write lines to --out, each ended by a newline, then its manifest; without --out, nothing."""
     out = cfg["out"]
     if not out:
         return
+    with open(out, "w") as fh:
+        for line in lines:
+            fh.write(line + "\n")
     # the id names the logical run: it hashes everything except where the
     # output happened to be written, so reruns share an id
     core_config = {k: v for k, v in cfg.items() if k != "out"}
@@ -186,22 +190,19 @@ def _write_manifest(command: str, cfg: dict, inputs, outputs):
         **core,
         "out": out,
         "inputs": {p: _digest_file(p) for p in inputs},
-        "outputs": {p: _digest_file(p) for p in outputs},
+        "outputs": {out: _digest_file(out)},
         "created_unix": time.time(),
     }
     with open(out + ".manifest.json", "w") as fh:
         fh.write(canonical_json(manifest) + "\n")
 
 
-def _emit(cfg: dict, payload: dict) -> list:
-    """Write payload JSON to --out, or pretty-print when --out is absent."""
-    out = cfg["out"]
-    if out:
-        with open(out, "w") as fh:
-            fh.write(canonical_json(payload) + "\n")
-        return [out]
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return []
+def _emit(command: str, cfg: dict, inputs, payload: dict) -> None:
+    """Write payload JSON as the one line of --out, or pretty-print it when --out is absent."""
+    if cfg["out"]:
+        _write(command, cfg, inputs, [canonical_json(payload)])
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _schema(payload):
@@ -253,10 +254,7 @@ def _agent_from_spec(spec: str, seed, audit_log=None):
     if kind == "remote":
         if not rest:
             raise ConfigError("remote agent needs a config path: remote:CONFIG.json")
-        try:
-            cfg = RemoteModelConfig.from_json_dict(_read_json(rest))
-        except TypeError as exc:
-            raise ConfigError(f"bad remote config {rest}: {exc}") from None
+        cfg = RemoteModelConfig.from_json_dict(_read_json(rest))
         if seed is None:
             raise ConfigError("a stochastic agent needs --seed")
         return RemoteModelAgent(cfg, audit_path=audit_log)
@@ -275,10 +273,7 @@ def cmd_gen(cfg: dict) -> int:
     template = GameSpec(n=n, distribution=dist, normalize=cfg["normalize"],
                         sparse_density=cfg["density"])
     records = [sample_game(eval_game_spec(template, n, cfg["seed"], i)) for i in range(count)]
-    with open(out, "w") as fh:
-        for rec in records:
-            fh.write(canonical_json(rec.to_json_dict()) + "\n")
-    _write_manifest("gen", cfg, [], [out])
+    _write("gen", cfg, [], (canonical_json(rec.to_json_dict()) for rec in records))
     print(f"wrote {count} games (n={n}, {dist}) to {out}")
     return 0
 
@@ -296,10 +291,7 @@ def cmd_pad(cfg: dict) -> int:
             padded.append(dominated_pad(rec, target, shuffle=cfg["shuffle"]))
         else:
             padded.append(random_pad(rec, target))
-    with open(out, "w") as fh:
-        for rec in padded:
-            fh.write(canonical_json(rec.to_json_dict()) + "\n")
-    _write_manifest("pad", cfg, [src], [out])
+    _write("pad", cfg, [src], (canonical_json(rec.to_json_dict()) for rec in padded))
     print(f"wrote {len(padded)} {kind}-padded games (n={target}) to {out}")
     return 0
 
@@ -315,7 +307,7 @@ def _solution(eq) -> dict:
 
 
 def cmd_solve(cfg: dict) -> int:
-    src, method, out = cfg["in"], cfg["method"], cfg["out"]
+    src, method = cfg["in"], cfg["method"]
     if method not in ("lp", "support", "both"):
         raise ConfigError(f"method must be lp, support or both, got {method!r}")
     records = _load_records(src)
@@ -356,15 +348,9 @@ def cmd_solve(cfg: dict) -> int:
                 )
         rows.append(row)
         print(f"{rec.id}  n={rec.n}  value={row['value']:+.6f}")
-    outputs = []
-    if out:
-        with open(out, "w") as fh:
-            for row in rows:
-                fh.write(canonical_json(row) + "\n")
-        outputs = [out]
+    _write("solve", cfg, [src], (canonical_json(row) for row in rows))
     if method == "both":
         print(f"routes agree on {len(rows)} games (worst value gap {worst_gap:.3e})")
-    _write_manifest("solve", cfg, [src], outputs)
     return 0
 
 
@@ -386,8 +372,7 @@ def cmd_eval(cfg: dict) -> int:
         prior = EvalResult.from_json_dict(_read_json(rescore_path))
         result = rescore(prior, games)
         identical = result.to_json_dict() == prior.to_json_dict()
-        outputs = _emit(cfg, result.to_json_dict())
-        _write_manifest("eval", cfg, [src, rescore_path], outputs)
+        _emit("eval", cfg, [src, rescore_path], result.to_json_dict())
         if not identical:
             raise VerificationError("rescore does not reproduce the stored result")
         print("rescore reproduced the stored result exactly")
@@ -395,8 +380,7 @@ def cmd_eval(cfg: dict) -> int:
     agent = _agent_from_spec(cfg["agent"], cfg["seed"], audit_log=cfg["audit_log"])
     result = evaluate(agent, games, k=cfg["k"], tau=tau, jobs=cfg["jobs"],
                       condition=cfg["condition"], distribution=dist_label)
-    outputs = _emit(cfg, result.to_json_dict())
-    _write_manifest("eval", cfg, [src], outputs)
+    _emit("eval", cfg, [src], result.to_json_dict())
     print(
         f"{result.agent} on {result.count} games (n={result.n}): "
         f"s@{tau:g}={result.s_at_tau:.3f} ±{result.se_s:.3f} "
@@ -417,8 +401,7 @@ def cmd_audit(cfg: dict) -> int:
         _check_transport(agent)  # an unreachable endpoint is not a config error
         raise
     payload = {"schema": "audit/1", "reports": [r.to_json_dict() for r in reports]}
-    outputs = _emit(cfg, payload)
-    _write_manifest("audit", cfg, [src], outputs)
+    _emit("audit", cfg, [src], payload)
     for r in reports:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.kind}: max |diff| = {r.max_abs_diff:.3e} "
               f"over {r.trials} games ({r.invalid} invalid, tol {r.tol:g})")
@@ -435,8 +418,7 @@ def cmd_pad_exp(cfg: dict) -> int:
         agent, base_n=cfg["base_n"], targets=targets, count=cfg["count"], k=cfg["k"],
         tau=cfg["tau"], seed=cfg["seed"], jobs=cfg["jobs"],
     )
-    outputs = _emit(cfg, report.to_json_dict())
-    _write_manifest("pad-exp", cfg, [], outputs)
+    _emit("pad-exp", cfg, [], report.to_json_dict())
     print(_padexp_table(report))
     _check_transport(agent)
     return 0
@@ -468,8 +450,7 @@ def cmd_verify_theorems(cfg: dict) -> int:
         "all_ok": all(ok for _, ok, _, _ in checks),
         "checks": [c[3] for c in checks],
     }
-    outputs = _emit(cfg, payload)
-    _write_manifest("verify-theorems", cfg, [], outputs)
+    _emit("verify-theorems", cfg, [], payload)
     for name, ok, detail, _ in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     if not payload["all_ok"]:
@@ -498,8 +479,7 @@ def cmd_train_toy(cfg: dict) -> int:
         "trace": [field_dict(t) for t in result.trace],
     }
     del payload["initial_logits"]  # not part of the traintoy/1 format
-    outputs = _emit(cfg, payload)
-    _write_manifest("train-toy", cfg, [src] if src else [], outputs)
+    _emit("train-toy", cfg, [src] if src else [], payload)
     print(
         f"{mode}: {result.steps_run} steps, window exploit "
         f"{result.first_window_mean_exploit:.4f} -> {result.final_window_mean_exploit:.4f}, "
@@ -554,15 +534,9 @@ def cmd_report(cfg: dict) -> int:
             sorted({r.n for r in eval_rows}),
             {(r.agent, r.n): (r.s_at_tau, r.se_s) for r in eval_rows},
         ))
-    text = "\n\n".join(blocks) + "\n"
-    out = cfg["out"]
-    outputs = []
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        outputs = [out]
-        _write_manifest("report", cfg, paths, outputs)
-    print(text, end="")
+    text = "\n\n".join(blocks)
+    _write("report", cfg, paths, [text])
+    print(text)
     return 0
 
 

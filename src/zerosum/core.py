@@ -174,7 +174,7 @@ class PayoffMatrix:
 
 
 def strategy_checks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rules of a mixed strategy, in the order MixedStrategy applies them.
+    """The rules of a mixed strategy, in the order MixedStrategy applies them, for a batch.
 
     For each vector along the last axis of arr: (all weights finite, all
     nonnegative, sum within SIMPLEX_SUM_TOL of 1), as boolean arrays over
@@ -197,13 +197,14 @@ class MixedStrategy:
         arr = _float_array(self.probs, "strategy weights")
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ContractViolation(f"strategy must be a nonempty vector, got shape {arr.shape}")
-        finite, nonnegative, sums_to_one = strategy_checks(arr)
-        if not finite:
+        values = arr.tolist()  # checked on Python floats, as project_to_simplex does
+        if not all(map(math.isfinite, values)):
             raise ContractViolation("strategy weights must be finite")
-        if not nonnegative:
+        if not min(values) >= 0.0:
             raise ContractViolation("strategy weights must be nonnegative")
-        if not sums_to_one:
-            raise ContractViolation(f"strategy weights sum to {arr.sum()!r}, not 1")
+        mass = _mass(arr, max(values))
+        if not abs(mass - 1.0) <= SIMPLEX_SUM_TOL:
+            raise ContractViolation(f"strategy weights sum to {mass!r}, not 1")
         object.__setattr__(self, "probs", _frozen_array(arr))
 
     @classmethod
@@ -373,9 +374,10 @@ def apply_affine(matrix: PayoffMatrix, scale: float, shift: float) -> PayoffMatr
     )
 
 
-def _mass(arr: np.ndarray, can_overflow: bool) -> float:
-    """float(arr.sum()); when can_overflow, a sum past float max is inf without a warning."""
-    if not can_overflow:
+def _mass(arr: np.ndarray, top: float) -> float:
+    """float(arr.sum()) of weights none above top; a sum past float max is inf without a warning."""
+    # no partial sum of n weights each below max / 2n reaches float max
+    if top * arr.shape[0] < _HALF_FLOAT_MAX:
         return float(arr.sum())
     with np.errstate(over="ignore"):
         return float(arr.sum())
@@ -404,12 +406,11 @@ def project_to_simplex(weights) -> MixedStrategy | None:
     values = arr.tolist()
     if not all(map(math.isfinite, values)):
         return None
-    # no partial sum of n weights each below max / 2n reaches float max
-    can_overflow = max(values) * len(values) >= _HALF_FLOAT_MAX
-    if min(values) >= 0.0 and abs(_mass(arr, can_overflow) - 1.0) <= SIMPLEX_SUM_TOL:
+    top = max(values)
+    if min(values) >= 0.0 and abs(_mass(arr, top) - 1.0) <= SIMPLEX_SUM_TOL:
         return MixedStrategy._owning(np.array(arr))
     clamped = np.maximum(arr, 0.0)  # also turns -0.0 into +0.0
-    mass = _mass(clamped, can_overflow)
+    mass = _mass(clamped, top)
     if not PROJECT_MIN_MASS < mass < math.inf:
         return None
     return MixedStrategy._owning(clamped / mass)

@@ -32,6 +32,7 @@ from .core import (
     MixedStrategy,
     PayoffMatrix,
     StrategyPair,
+    canonical_json,
     content_digest,
     field_dict,
     from_fields,
@@ -100,17 +101,17 @@ class GameRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GameRecord":
-        rec = from_fields(cls, d, cls.schema, spec=GameSpec.from_json_dict,
-                          matrix=PayoffMatrix.from_json_dict, raw=PayoffMatrix.from_json_dict)
-        if rec.spec.n != rec.raw.n:
-            raise ContractViolation(f"record {rec.id}: spec n={rec.spec.n}, raw n={rec.raw.n}")
-        if rec.spec.normalize:
-            if not np.array_equal(normalize_payoffs(rec.raw).entries, rec.matrix.entries):
-                raise ContractViolation(f"record {rec.id}: matrix != normalize(raw)")
-        elif rec.matrix.entries.tobytes() != rec.raw.entries.tobytes():
-            raise ContractViolation(f"record {rec.id}: matrix != raw")
-        if rec.id != _game_id(rec.spec, rec.raw.entries):
-            raise ContractViolation(f"record {rec.id}: id does not match its spec and raw entries")
+        """The record rebuilt from d's spec and raw entries, if d equals its JSON
+        form: a record reads back only as gen writes it."""
+        try:
+            rec = _game_record(GameSpec.from_json_dict(d["spec"]), d["raw"]["entries"])
+        except TypeError as exc:  # d or its raw is not a JSON object
+            raise ContractViolation(f"bad {cls.__name__}: {exc}") from None
+        expected = rec.to_json_dict()
+        if d != expected:
+            key = next(k for k in sorted(d.keys() | expected.keys())
+                       if k not in d or k not in expected or d[k] != expected[k])
+            raise ContractViolation(f"record {d.get('id')}: {key} does not match its contents")
         return rec
 
 
@@ -131,13 +132,23 @@ def _draw_raw(spec: GameSpec) -> np.ndarray:
     return np.where(mask, values, 0.0)
 
 
-def sample_game(spec: GameSpec) -> GameRecord:
-    """Draw one game; identical spec gives an identical record."""
-    raw_entries = _draw_raw(spec)
+def _game_record(spec: GameSpec, raw_entries) -> GameRecord:
+    """The one builder of a game record: spec with raw_entries as its draw.
+
+    sample_game passes the entries it draws, GameRecord.from_json_dict the
+    entries it reads.
+    """
     meta = MatrixMeta(seed=spec.seed, distribution=spec.distribution, normalized=False)
     raw = PayoffMatrix(raw_entries, meta=meta)
+    if raw.n != spec.n:
+        raise ContractViolation(f"spec n={spec.n}, raw n={raw.n}")
     matrix = normalize_payoffs(raw) if spec.normalize else raw
-    return GameRecord(spec=spec, matrix=matrix, raw=raw, id=_game_id(spec, raw_entries))
+    return GameRecord(spec=spec, matrix=matrix, raw=raw, id=_game_id(spec, raw.entries))
+
+
+def sample_game(spec: GameSpec) -> GameRecord:
+    """Draw one game; identical spec gives an identical record."""
+    return _game_record(spec, _draw_raw(spec))
 
 
 def eval_game_spec(template: GameSpec, n: int, eval_seed: int, index: int) -> GameSpec:
@@ -187,7 +198,7 @@ class PaddedGameRecord:
                           reference_pair=StrategyPair.from_json_dict)
         if rec.id != _padded_id(rec.kind, rec.base, rec.padded.entries):
             raise ContractViolation(f"padded record {rec.id}: id does not match its contents")
-        problem = _padded_problem(rec)
+        problem = _padded_problem(rec, d["padded"].get("meta"))
         if problem:
             raise ContractViolation(f"padded record {rec.id}: {problem}")
         return rec
@@ -200,11 +211,12 @@ _CERTIFICATE_KEYS = {
 }
 
 
-def _padded_problem(rec: PaddedGameRecord) -> str | None:
+def _padded_problem(rec: PaddedGameRecord, stored_meta) -> str | None:
     """What a padded record read from JSON gets wrong, or None.
 
     The id covers only the kind, the base id and the padded entries, so the
-    rest is re-checked here without an LP: the maps place the base matrix
+    rest is re-checked here without an LP: the stored padded meta is the
+    JSON the writer derives from the base, the maps place the base matrix
     in the padded one, the reference pair is zero outside them and
     certifies the base game at base_value, the stored reference_exploit is
     the pair's raw exploitability on the padded game bit for bit, and a
@@ -215,6 +227,9 @@ def _padded_problem(rec: PaddedGameRecord) -> str | None:
         return f"unknown kind {rec.kind!r}"
     if set(cert) != _CERTIFICATE_KEYS[rec.kind] or not all(type(v) is float for v in cert.values()):
         return f"certificate is not the {rec.kind} certificate: {cert!r}"
+    meta = _padded_meta(rec.base).to_json_dict()
+    if canonical_json(stored_meta) != canonical_json(meta):
+        return f"padded meta {stored_meta!r} is not the base's {meta!r}"
     big, k = rec.n, rec.base.n
     if big <= k:
         return f"padded size {big} does not exceed the base size {k}"
@@ -250,6 +265,10 @@ def _padded_id(kind: str, base: GameRecord, padded: np.ndarray) -> str:
     return content_digest({"kind": kind, "base": base.id, "padded": padded.tolist()})
 
 
+def _padded_meta(base: GameRecord) -> MatrixMeta:
+    return replace(base.matrix.meta, normalized=False)
+
+
 def _pad_base_n(base: GameRecord, target_n: int) -> int:
     if target_n <= base.n:
         raise ContractViolation(f"target size {target_n} must exceed base size {base.n}")
@@ -268,7 +287,7 @@ def _padded_record(
     """
     if base_eq is None:
         base_eq = solve_zero_sum_lp(base.matrix)
-    matrix = PayoffMatrix(padded, meta=replace(base.matrix.meta, normalized=False))
+    matrix = PayoffMatrix(padded, meta=_padded_meta(base))
     row_map = tuple(int(i) for i in row_map)
     col_map = tuple(int(j) for j in col_map)
     row = np.zeros(matrix.n)

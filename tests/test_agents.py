@@ -244,6 +244,13 @@ class TestRemoteConfig:
                 {"endpoint": "http://x", "model": "m", "api_key": "nope"}
             )
 
+    @pytest.mark.parametrize("edit", [
+        {"retries": 1.5}, {"timeout": None}, {"max_tokens": "10"}, {"model": 3},
+    ], ids=["float retries", "null timeout", "string max_tokens", "int model"])
+    def test_from_json_rejects_wrongly_typed_values(self, edit):
+        with pytest.raises(ConfigError, match="has the wrong type"):
+            RemoteModelConfig.from_json_dict({"endpoint": "http://x", "model": "m", **edit})
+
 
 def _chat(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}

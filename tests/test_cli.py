@@ -485,7 +485,7 @@ class TestMalformedInput:
         assert "bad GameSpec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path, edit, error", [
-        ("g.jsonl", lambda r: r["matrix"].update(n=7), "stored n 7 does not match 3x3 entries"),
+        ("g.jsonl", lambda r: r["matrix"].update(n=7), "matrix does not match its contents"),
         ("g.jsonl", lambda r: r["spec"].update(n=4), "spec n=4, raw n=3"),
         ("g.jsonl", lambda r: r.update(id="x"), "record x: id does not match"),
         ("p.jsonl", lambda r: r.update(id="x"), "padded record x: id does not match"),
@@ -506,7 +506,7 @@ class TestMalformedInput:
         record["matrix"]["entries"] = [[-x for x in row] for row in record["matrix"]["entries"]]
         (games / "bad.jsonl").write_text(json.dumps(record) + "\n")
         assert cli_main("solve", "--in", "bad.jsonl") == 2
-        assert "matrix != raw" in capsys.readouterr().err
+        assert "matrix does not match its contents" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, error", [
         (lambda r: r["raw"]["entries"][0].__setitem__(0, 10 ** 400),
@@ -560,6 +560,24 @@ class TestMalformedInput:
         capsys.readouterr()
         assert cli_main("solve", "--in", "bad.jsonl") == 2
         assert error in capsys.readouterr().err
+
+    def test_solve_on_a_padded_record_whose_pair_overflows(self, games):
+        assert cli_main("pad", "--in", "g.jsonl", "--kind", "random", "--target-n", 5,
+                        "--out", "p.jsonl") == 0
+        record = json.loads((games / "p.jsonl").read_text().splitlines()[0])
+        record["reference_pair"]["row"] = [1e308, 1e308, 0.0, 0.0, 0.0]
+        (games / "bad.jsonl").write_text(json.dumps(record) + "\n")
+        res = run("solve", "--in", "bad.jsonl", cwd=games)
+        assert res.returncode == 2
+        assert res.stderr == ("configuration error: bad.jsonl: bad record: "
+                              "strategy weights sum to inf, not 1\n")
+
+    def test_eval_with_a_wrongly_typed_remote_config(self, games, capsys):
+        config = {"endpoint": "http://127.0.0.1:1", "model": "m", "retries": 1.5}
+        (games / "remote.json").write_text(json.dumps(config))
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "remote:remote.json",
+                        "--seed", 1, "--k", 1) == 2
+        assert "bad RemoteModelConfig" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [
         '{"schema": "evalres/1", "tau": 0.1}',

@@ -61,6 +61,18 @@ class TestMixedStrategy:
         with pytest.raises(ContractViolation):
             MixedStrategy(np.array([[0.5, 0.5]]))
 
+    @pytest.mark.parametrize("weights, error", [
+        ([1e308, 1e308, 0.0], "strategy weights sum to inf, not 1"),
+        ([0.25, 0.25, 1e307], "strategy weights sum to 1e+307, not 1"),
+        ([float("inf"), -float("inf")], "strategy weights must be finite"),
+    ])
+    def test_rejected_without_a_warning(self, weights, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation) as info:
+                MixedStrategy(weights)
+        assert str(info.value) == error
+
     def test_uniform_and_one_hot(self):
         u = MixedStrategy.uniform(4)
         assert np.array_equal(u.probs, np.full(4, 0.25))

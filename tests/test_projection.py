@@ -24,7 +24,9 @@ from zerosum.core import (
     SIMPLEX_SUM_TOL,
     MixedStrategy,
     project_to_simplex,
+    strategy_checks,
 )
+from zerosum.errors import ContractViolation
 
 
 def _ref_project(weights):
@@ -112,6 +114,27 @@ def test_seeded_vectors_match_the_reference():
                 count += 1
     assert count >= 200_000
     assert kinds == {"none", "probs"}
+
+
+def test_mixed_strategy_decides_as_numpy_sums():
+    """MixedStrategy sums under the overflow guard; on the same seeded
+    vectors it accepts exactly what strategy_checks, on numpy's arr.sum(),
+    accepts, and rejects the rest with ContractViolation."""
+    rng = np.random.default_rng(13)
+    verdicts = set()
+    for n in range(1, 13):
+        for kind in range(8):
+            for w in _seeded_batch(rng, kind, n, 300):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ok = all(strategy_checks(w))
+                try:
+                    MixedStrategy(w)
+                except ContractViolation:
+                    assert not ok, w
+                else:
+                    assert ok, w
+                verdicts.add(bool(ok))
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("weights", [

@@ -4,10 +4,17 @@ There is one implementation of each kernel, so every machine computes the
 same bits. tests/test_kernels.py keeps plain-Python loop versions of both
 as references and checks these kernels against them bitwise.
 
-- ``exploit_terms`` sums each product vector in ascending sorted order.
-  The canonical order makes the certificate exactly permutation-equivariant:
-  permuting rows/columns of the game (and the strategies with them) permutes
-  each product multiset but never changes the sorted sequence being summed.
+- ``exploit_terms`` sums each product vector in ascending sorted order,
+  sequentially from the first sorted product (``cumsum``, never numpy's
+  pairwise ``sum``). The canonical order makes the certificate exactly
+  permutation-equivariant: permuting rows/columns of the game (and the
+  strategies with them) permutes each product multiset but never changes
+  the sorted sequence being summed. All three sums run along the last
+  axis: the column products are formed as ``a.swapaxes(-1, -2) * p``, so
+  column j is row j of a fresh contiguous array. Each product array is new,
+  so it is sorted in place with the ``ndarray.sort`` method and summed with
+  ``ndarray.cumsum``, which skip the copy and the dispatch of ``np.sort``
+  and ``np.cumsum``.
 - ``lp_kernel`` is a dense tableau simplex for  max 1.y  s.t. ap @ y <= 1,
   y >= 0  with ap strictly positive. Entering variable: smallest index with
   reduced cost below -RC_TOL (Bland's rule). Leaving row: minimum ratio,
@@ -33,12 +40,18 @@ def exploit_terms_batch(a, p, q):
 
     p and q are one strategy pair of shape (n,) or a stack of pairs of shape
     (g, n); the results carry the same leading axes. Each pair's products
-    are sorted and summed along their own axis, so row g of a stack is
-    bitwise the result for p[g], q[g] alone.
+    are sorted and summed along the last axis of their own block, so row g
+    of a stack is bitwise the result for p[g], q[g] alone.
     """
-    aq = np.cumsum(np.sort(a * q[..., None, :], axis=-1), axis=-1)[..., -1]
-    pa = np.cumsum(np.sort(a * p[..., :, None], axis=-2), axis=-2)[..., -1, :]
-    v = np.cumsum(np.sort(p * aq, axis=-1), axis=-1)[..., -1]
+    aq = a * q[..., None, :]
+    aq.sort()
+    aq = aq.cumsum(axis=-1)[..., -1]
+    pa = a.swapaxes(-1, -2) * p[..., None, :]
+    pa.sort()
+    pa = pa.cumsum(axis=-1)[..., -1]
+    v = p * aq
+    v.sort()
+    v = v.cumsum(axis=-1)[..., -1]
     return aq.max(axis=-1), pa.min(axis=-1), v
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -94,19 +95,35 @@ def from_fields(cls, d, schema: str | None = None, **readers):
                 value = tuple(value)
             kwargs[key] = value
         for name, want in _json_fields(cls):
-            if want and name in kwargs and not isinstance(kwargs[name], want):
-                raise TypeError(f"{name} has the wrong type: {kwargs[name]!r}")
+            if want and name in kwargs:
+                value = kwargs[name]
+                # bool is an int subclass, but true is no number in a record
+                if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+                    raise TypeError(f"{name} has the wrong type: {value!r}")
         return cls(**kwargs)
     except TypeError as exc:
         raise ContractViolation(f"bad {cls.__name__}: {exc}") from None
 
 
 def _float_array(values, what: str) -> np.ndarray:
-    """np.asarray(values, float64); an int beyond float range is a ContractViolation."""
+    """np.asarray(values, float64) of an array or of (nested) lists of numbers.
+
+    An int beyond float range is a ContractViolation, and so is a str or a
+    bool among the list items: numpy would convert "0.5" and true, but a
+    JSON record holds numbers there. An ndarray is converted unchecked.
+    """
     try:
-        return np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values, dtype=np.float64)
     except OverflowError:
         raise ContractViolation(f"{what} must be finite, got an int beyond float range") from None
+    if not isinstance(values, np.ndarray):
+        items = [values]
+        for _ in range(arr.ndim):  # the conversion proved the nesting depth
+            items = itertools.chain.from_iterable(items)
+        bad = next((k for k in set(map(type, items)) if issubclass(k, (str, bool))), None)
+        if bad is not None:
+            raise ContractViolation(f"{what} must be numbers, got a {bad.__name__}")
+    return arr
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -168,7 +185,7 @@ class PayoffMatrix:
             meta=MatrixMeta.from_json_dict(d.get("meta", {})),
         )
         n = d.get("n")
-        if n != matrix.n:
+        if type(n) is not int or n != matrix.n:
             raise ContractViolation(f"stored n {n!r} does not match {matrix.n}x{matrix.n} entries")
         return matrix
 

@@ -4,6 +4,18 @@ Every random draw in the toolkit flows through a numpy Philox bit generator
 (counter-based, 64-bit words) keyed directly with a 64-bit seed, so streams
 are reproducible across platforms and independent of numpy's SeedSequence.
 
+The key reaches Philox without a SeedSequence. ``generator`` passes
+Philox a minimal ``ISeedSequence`` whose ``generate_state(2, np.uint64)``
+returns the key words ``[seed mod 2^64, 0]``: exactly the words
+``Philox(key=seed)`` stores, so the state and every draw are the same.
+``Philox(key=...)`` would first build a ``SeedSequence(None)`` (reading OS
+entropy) only to throw it away; passing the key as the seed sequence skips
+that. The key type has no ``spawn``, so ``Generator.spawn`` is not
+supported on these generators (nothing in the toolkit calls it; child
+streams come from ``child_seed``). The type is defined on the first draw,
+not at import: subclassing ``ISeedSequence`` imports ``numpy.random``,
+which ``import zerosum`` otherwise does not.
+
 Child seeds are derived with a splitmix64 chain::
 
     child_seed(root, a, b, ...) = h_k   where   h_0 = root,
@@ -15,6 +27,8 @@ the serialization contract: eval sets derive game i at size n from
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -39,9 +53,30 @@ def child_seed(root: int, *parts: int) -> int:
     return h
 
 
+@functools.cache
+def _philox_key() -> type:
+    """The seed-sequence type that hands Philox its key words, defined once."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        """Seed sequence that gives Philox the key words [seed mod 2^64, 0]."""
+
+        __slots__ = ("_seed",)
+
+        def __init__(self, seed: int):
+            self._seed = seed & _MASK
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # Philox asks for its two 64-bit key words once, at construction
+            return np.array([self._seed, 0], dtype=np.uint64)
+
+    return PhiloxKey
+
+
 def generator(seed: int) -> np.random.Generator:
-    """Philox generator keyed with the given 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK))
+    """Philox generator keyed with the given 64-bit seed; the same state as
+    np.random.Philox(key=seed mod 2^64)."""
+    return np.random.Generator(np.random.Philox(_philox_key()(seed)))
 
 
 def standard_normal(rng: np.random.Generator, count: int) -> np.ndarray:

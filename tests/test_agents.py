@@ -33,7 +33,7 @@ from zerosum import (
     solve_zero_sum_lp,
     uniform_pair,
 )
-from zerosum.core import content_digest
+from zerosum.core import MixedStrategy, StrategyPair, content_digest
 
 GAME = sample_game(GameSpec(n=2, distribution="integer", seed=0))
 GAME3 = sample_game(GameSpec(n=3, distribution="integer", seed=1))
@@ -155,6 +155,41 @@ class TestParseTaxonomy:
         assert np.array_equal(r.parsed.row.probs, pair.row.probs)
         assert np.array_equal(r.parsed.col.probs, pair.col.probs)
 
+    def test_serialize_parse_round_trip_property(self):
+        # every valid pair reads back bytewise, -0.0 weights included
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        def valid(weights):
+            try:
+                return MixedStrategy(weights)
+            except ContractViolation:
+                return None
+
+        def strategies(n):
+            pure = st.integers(0, n - 1).map(lambda i: MixedStrategy.one_hot(n, i))
+            weights = hnp.arrays(np.float64, n, elements=st.one_of(st.floats(0, 1), st.just(-0.0)))
+            projected = weights.map(project_to_simplex)
+            scaled = weights.map(lambda w: valid(w / w.sum()) if w.sum() > 0.0 else None)
+            return st.one_of(pure, projected, scaled).filter(lambda s: s is not None)
+
+        @st.composite
+        def pairs(draw):
+            n = draw(st.integers(2, 12))
+            return StrategyPair(row=draw(strategies(n)), col=draw(strategies(n)))
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                             phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+        @hypothesis.given(pairs())
+        def check(pair):
+            r = parse_response(serialize_pair(pair), pair.row.n)
+            assert r.parse_error is None
+            assert r.parsed.row.probs.tobytes() == pair.row.probs.tobytes()
+            assert r.parsed.col.probs.tobytes() == pair.col.probs.tobytes()
+
+        check()
+
 
 class TestPrompts:
     def test_contains_size_and_matrix(self):
@@ -249,6 +284,17 @@ class TestRemoteConfig:
     ], ids=["float retries", "null timeout", "string max_tokens", "int model"])
     def test_from_json_rejects_wrongly_typed_values(self, edit):
         with pytest.raises(ConfigError, match="has the wrong type"):
+            RemoteModelConfig.from_json_dict({"endpoint": "http://x", "model": "m", **edit})
+
+
+    @pytest.mark.parametrize("edit", [
+        {"retries": True}, {"max_inflight": True}, {"max_tokens": False},
+        {"temperature": False}, {"timeout": True},
+        {"retries": True, "max_inflight": True, "temperature": False},
+    ], ids=["retries", "max_inflight", "max_tokens", "temperature", "timeout", "three"])
+    def test_from_json_rejects_bools_for_numbers(self, edit):
+        # bool is an int subclass in Python, but a JSON true is no number
+        with pytest.raises(ConfigError, match="has the wrong type: (True|False)"):
             RemoteModelConfig.from_json_dict({"endpoint": "http://x", "model": "m", **edit})
 
 

@@ -579,6 +579,15 @@ class TestMalformedInput:
                         "--seed", 1, "--k", 1) == 2
         assert "bad RemoteModelConfig" in capsys.readouterr().err
 
+    def test_eval_with_a_bool_in_a_numeric_remote_field(self, games, capsys):
+        config = {"endpoint": "http://127.0.0.1:1", "model": "m",
+                  "retries": True, "max_inflight": True, "temperature": False}
+        (games / "remote.json").write_text(json.dumps(config))
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "remote:remote.json",
+                        "--seed", 1, "--k", 1) == 2
+        # the first bool field in declaration order is named
+        assert "bad RemoteModelConfig: temperature has the wrong type: False" in capsys.readouterr().err
+
     @pytest.mark.parametrize("payload", [
         '{"schema": "evalres/1", "tau": 0.1}',
         '{"schema": "padexp/1", "tau": 0.1}',

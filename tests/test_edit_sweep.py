@@ -10,6 +10,8 @@ CLI maps both to exit 2) or read back to the writer's exact line.
 Without an LP the padded reader can only bound the numbers of the
 reference pair and the certificate to CERT_TOL, so numeric edits there are
 exempt from the read-back rule; they must still be rejected cleanly or read.
+A number spelled as a string, anywhere, and a padded ``n`` spelled as a
+float are no such numbers: they must be rejected, not read back.
 """
 
 import json
@@ -82,6 +84,20 @@ def _exempt(path, label) -> bool:
     )
 
 
+def _value_at(line: str, path):
+    node = json.loads(line)
+    for step in path:
+        node = node[step]
+    return node
+
+
+def _must_reject(line: str, path, label) -> bool:
+    if label == "stringify":
+        value = _value_at(line, path)
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return label == "float spelling" and path == ("padded", "n")
+
+
 def _game(dist: str, normalize: bool) -> GameRecord:
     return sample_game(GameSpec(n=3, distribution=dist, seed=1, normalize=normalize))
 
@@ -106,7 +122,8 @@ def test_every_single_edit_is_rejected_or_reads_back_as_written(name):
             rec = _read(d)
         except (ValueError, KeyError):
             continue
-        if canonical_json(rec.to_json_dict()) != line and not _exempt(path, label):
+        if _must_reject(line, path, label) or (
+                canonical_json(rec.to_json_dict()) != line and not _exempt(path, label)):
             violations.append(f"{label} at {'/'.join(map(str, path))}")
     assert edits >= 200
     assert violations == []

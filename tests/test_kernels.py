@@ -217,6 +217,41 @@ def test_exploit_terms_batch_matches_numpy_kernel_row_by_row():
             assert got == ref, (a, g)
 
 
+def _exploit_terms_batch_axis_form(a, p, q):
+    # reference: the same sorted sequential sums through np.sort / np.cumsum
+    # copies, with the column products summed along axis -2 untransposed
+    aq = np.cumsum(np.sort(a * q[..., None, :], axis=-1), axis=-1)[..., -1]
+    pa = np.cumsum(np.sort(a * p[..., :, None], axis=-2), axis=-2)[..., -1, :]
+    v = np.cumsum(np.sort(p * aq, axis=-1), axis=-1)[..., -1]
+    return aq.max(axis=-1), pa.min(axis=-1), v
+
+
+def test_exploit_terms_batch_matches_its_axis_form_bitwise():
+    rng = np.random.default_rng(36)
+    for a in _parity_games():
+        n = a.shape[0]
+        p = rng.dirichlet(np.ones(n), size=4)
+        q = rng.dirichlet(np.ones(n), size=4)
+        p[0] = np.eye(n)[0]  # exact zeros, some of them -0.0, in the products
+        q[1] = np.eye(n)[-1]
+        for pp, qq in ((p, q), (p[0], q[0]), (p[2], q[1])):
+            ref = _exploit_terms_batch_axis_form(a, pp, qq)
+            got = K.exploit_terms_batch(a, pp, qq)
+            assert [x.tobytes() for x in map(np.asarray, got)] == \
+                [x.tobytes() for x in map(np.asarray, ref)], (a, pp, qq)
+
+
+def test_exploit_terms_batch_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(37)
+    a = rng.normal(size=(6, 6))
+    p = rng.dirichlet(np.ones(6), size=3)
+    q = rng.dirichlet(np.ones(6), size=3)
+    before = [x.tobytes() for x in (a, p, q)]
+    K.exploit_terms_batch(a, p, q)
+    K.exploit_terms_batch(a, p[0], q[0])
+    assert [x.tobytes() for x in (a, p, q)] == before
+
+
 def test_lp_kernel_deterministic():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(6, 6))

@@ -1,12 +1,17 @@
 """The benchmark's tracer patches module attributes by name, so a refactor
 that moves or renames one of them breaks ``perfbench/run.py --trace 1``.
 This checks every name it patches, and the kernel call ``perfbench/run.py``
-makes, against the package as it is."""
+makes, against the package as it is, and that a traced evaluation still
+passes through every traced name once per game or per response: a faster
+path that routes around one would hide its calls from the benchmark."""
 
 import importlib.util
 import os
+from collections import Counter
 
-from zerosum import _kernels
+from zerosum import _kernels, harness
+from zerosum.agents import NoisyOracleAgent
+from zerosum.gen import make_eval_set
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
@@ -30,3 +35,23 @@ def test_every_traced_attribute_exists_where_it_is_patched():
 
 def test_run_reads_the_kernel_backend_name():
     assert _kernels.backend_name() == "numpy"
+
+
+def test_a_traced_evaluation_reaches_every_layer_once_per_call():
+    games = make_eval_set(3, 6, eval_seed=1)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        harness.evaluate(NoisyOracleAgent(0.3, seed=1), games, k=2)
+    finally:
+        tracer.uninstall()
+    calls = Counter(span[0] for span in tracer.spans)
+    # each game's replies, regenerated untraced: a repeated reply is scored once
+    replies = [NoisyOracleAgent(0.3, seed=1).propose(g, 2) for g in games]
+    distinct = sum(len({r.raw_text for r in rs if r.parse_error is None}) for rs in replies)
+    assert distinct > 6
+    assert {name: calls[name] for name in (
+        "solver.lp", "kernels.lp_kernel", "agents.propose", "agents.parse",
+        "core.exploitability", "kernels.exploit_terms")} == {
+        "solver.lp": 6, "kernels.lp_kernel": 6, "agents.propose": 6, "agents.parse": 12,
+        "core.exploitability": distinct, "kernels.exploit_terms": 6 + distinct}

@@ -63,6 +63,7 @@ from .gen import (
     DISTRIBUTIONS,
     GameRecord,
     GameSpec,
+    PAD_KINDS,
     PaddedGameRecord,
     dominated_pad,
     eval_game_spec,
@@ -280,8 +281,8 @@ def cmd_gen(cfg: dict) -> int:
 
 def cmd_pad(cfg: dict) -> int:
     src, kind, target, out = cfg["in"], cfg["kind"], cfg["target_n"], cfg["out"]
-    if kind not in ("dominated", "random"):
-        raise ConfigError(f"pad kind must be dominated or random, got {kind!r}")
+    if kind not in PAD_KINDS:
+        raise ConfigError(f"pad kind must be {' or '.join(PAD_KINDS)}, got {kind!r}")
     bases = _load_records(src)
     padded = []
     for rec in bases:
@@ -559,7 +560,7 @@ _COMMANDS = {
     ]),
     "pad": (cmd_pad, "embed games in larger matrices", [
         ("in", None, None, True, "base games JSONL"),
-        ("kind", None, None, True, "dominated|random"),
+        ("kind", None, None, True, "|".join(PAD_KINDS)),
         ("target_n", _as_int, None, True, "padded size"),
         ("shuffle", _as_bool, False, False, "true|false: permute padded positions (dominated)"),
         ("out", None, None, True, "output JSONL path"),

@@ -47,16 +47,32 @@ def content_digest(obj) -> str:
 
 
 # the values a field accepts, keyed by its annotation's text up to any "["
-# (modules defer annotations, so a field's type is a string); other fields,
-# such as "int | None" or a nested record, are not checked here
+# (modules defer annotations, so a field's type is a string), and for
+# "tuple[T, ...]" the values its items accept, keyed by T; other fields and
+# items, such as "int | None" or a nested record, are not checked here
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
                "tuple": tuple, "dict": dict}
 
 
 @functools.cache
 def _json_fields(cls) -> tuple:
-    """(name, accepted types or None) for each field of dataclass cls."""
-    return tuple((f.name, _JSON_TYPES.get(f.type.partition("[")[0])) for f in fields(cls))
+    """(name, accepted types or None, accepted item types or None) for each
+    field of dataclass cls."""
+    out = []
+    for f in fields(cls):
+        head, _, items = f.type.partition("[")
+        item_types = _JSON_TYPES.get(items.partition(",")[0]) if head == "tuple" else None
+        out.append((f.name, _JSON_TYPES.get(head), item_types))
+    return tuple(out)
+
+
+def _check_items(name: str, values: tuple, want) -> None:
+    """TypeError naming the first of values whose type is not one of want."""
+    bad = {kind for kind in set(map(type, values))
+           if not issubclass(kind, want) or (kind is bool and want is not bool)}
+    if bad:
+        item = next(v for v in values if type(v) in bad)
+        raise TypeError(f"{name} has an item of the wrong type: {item!r}")
 
 
 def field_dict(obj) -> dict:
@@ -66,7 +82,7 @@ def field_dict(obj) -> dict:
     other value is kept as it is (json writes a tuple as an array).
     """
     out = {}
-    for name, _ in _json_fields(type(obj)):
+    for name, _, _ in _json_fields(type(obj)):
         value = getattr(obj, name)
         out[name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
     return out
@@ -77,8 +93,8 @@ def from_fields(cls, d, schema: str | None = None, **readers):
 
     When schema is given, d must carry it as its "schema" tag. ``readers``
     maps a field name to the reader of that field's JSON form; every other
-    JSON array becomes a tuple. A missing, unknown or wrongly typed key
-    raises ContractViolation.
+    JSON array becomes a tuple. A missing, unknown or wrongly typed key, or
+    a wrongly typed item of a "tuple[T, ...]" field, raises ContractViolation.
     """
     if not isinstance(d, dict):
         raise ContractViolation(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
@@ -94,12 +110,14 @@ def from_fields(cls, d, schema: str | None = None, **readers):
             elif isinstance(value, list):
                 value = tuple(value)
             kwargs[key] = value
-        for name, want in _json_fields(cls):
+        for name, want, item_want in _json_fields(cls):
             if want and name in kwargs:
                 value = kwargs[name]
                 # bool is an int subclass, but true is no number in a record
                 if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
                     raise TypeError(f"{name} has the wrong type: {value!r}")
+                if item_want:
+                    _check_items(name, value, item_want)
         return cls(**kwargs)
     except TypeError as exc:
         raise ContractViolation(f"bad {cls.__name__}: {exc}") from None
@@ -143,8 +161,6 @@ class MatrixMeta:
     def to_json_dict(self) -> dict:
         return {k: v for k, v in field_dict(self).items() if v is not None}
 
-    from_json_dict = classmethod(from_fields)
-
 
 @dataclass(frozen=True, eq=False)
 class PayoffMatrix:
@@ -177,17 +193,6 @@ class PayoffMatrix:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "entries": self.entries.tolist(), "meta": self.meta.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PayoffMatrix":
-        matrix = cls(
-            entries=d["entries"],
-            meta=MatrixMeta.from_json_dict(d.get("meta", {})),
-        )
-        n = d.get("n")
-        if type(n) is not int or n != matrix.n:
-            raise ContractViolation(f"stored n {n!r} does not match {matrix.n}x{matrix.n} entries")
-        return matrix
 
 
 def strategy_checks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,10 +265,6 @@ class StrategyPair:
 
     def to_json_dict(self) -> dict:
         return {"row": self.row.probs.tolist(), "col": self.col.probs.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "StrategyPair":
-        return cls(row=MixedStrategy(d["row"]), col=MixedStrategy(d["col"]))
 
 
 @dataclass(frozen=True)

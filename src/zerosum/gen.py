@@ -19,6 +19,18 @@ Draw rules per distribution (row-major fills):
 - sparse: a keep-mask (entry nonzero with probability sparse_density) is
   drawn first as one (n, n) uniform block, then one (n, n) block of values
   uniform on {-9..9} minus {0}; masked-off cells are exactly 0.
+
+Readers rebuild what they read with the writer and accept a line only if it
+equals the rebuilt record's JSON form, so whatever they accept reads back
+as written:
+
+- a game record is rebuilt from its ``spec`` and ``raw.entries``;
+- a padded record from its ``base`` (read as a game record), ``kind`` and
+  ``padded.n``, with one LP solve of the base passed to the pad as
+  ``base_eq``. The shuffle flag is not stored: when both maps are the
+  identity prefix [0..k-1] the unshuffled dominated pad is tried first and
+  the shuffled one second (a shuffle can leave both maps the identity);
+  otherwise only the shuffled one.
 """
 
 from __future__ import annotations
@@ -32,21 +44,20 @@ from .core import (
     MixedStrategy,
     PayoffMatrix,
     StrategyPair,
-    canonical_json,
     content_digest,
     field_dict,
     from_fields,
     normalize_payoffs,
-    regrets,
 )
 from .errors import ConstructionError, ContractViolation
 from .rng import child_seed, generator, standard_normal
-from .solver import CERT_TOL, Equilibrium, raw_exploit, solve_zero_sum_lp
+from .solver import CERT_TOL, MAX_N, Equilibrium, raw_exploit, solve_zero_sum_lp
 
 DISTRIBUTIONS = ("integer", "gaussian", "sparse")
 _DIST_CODE = {"integer": 1, "gaussian": 2, "sparse": 3}
 _DOMINATED_TAG = 101
 _RANDOM_PAD_TAG = 102
+PAD_KINDS = ("dominated", "random")
 PAD_MARGIN_MAX = 5  # dominated margins drawn integer-uniform from {1..5}
 
 
@@ -61,8 +72,8 @@ class GameSpec:
     sparse_density: float = 0.2
 
     def __post_init__(self):
-        if not 2 <= self.n <= 64:
-            raise ContractViolation(f"game size must be in [2, 64], got {self.n}")
+        if not 2 <= self.n <= MAX_N:
+            raise ContractViolation(f"game size must be in [2, {MAX_N}], got {self.n}")
         if self.distribution not in DISTRIBUTIONS:
             raise ContractViolation(
                 f"unknown distribution {self.distribution!r}; choose from {DISTRIBUTIONS}"
@@ -107,12 +118,24 @@ class GameRecord:
             rec = _game_record(GameSpec.from_json_dict(d["spec"]), d["raw"]["entries"])
         except TypeError as exc:  # d or its raw is not a JSON object
             raise ContractViolation(f"bad {cls.__name__}: {exc}") from None
+        return _rebuilt("record", d, (rec,))
+
+
+def _rebuilt(what: str, d: dict, records):
+    """The first of records whose JSON form equals d, as JSON values (5 for 5.0
+    and -0.0 for 0.0 are equal); else ContractViolation naming the first
+    top-level key where d differs from the first record's form. records may be
+    a generator, so a later candidate is built only when needed."""
+    first = None
+    for rec in records:
         expected = rec.to_json_dict()
-        if d != expected:
-            key = next(k for k in sorted(d.keys() | expected.keys())
-                       if k not in d or k not in expected or d[k] != expected[k])
-            raise ContractViolation(f"record {d.get('id')}: {key} does not match its contents")
-        return rec
+        if d == expected:
+            return rec
+        if first is None:
+            first = expected
+    key = next(k for k in sorted(d.keys() | first.keys())
+               if k not in d or k not in first or d[k] != first[k])
+    raise ContractViolation(f"{what} {d.get('id')}: {key} does not match its contents")
 
 
 def _game_id(spec: GameSpec, raw: np.ndarray) -> str:
@@ -189,89 +212,41 @@ class PaddedGameRecord:
         return self.padded.n
 
     def to_json_dict(self) -> dict:
-        return {"schema": self.schema, **field_dict(self)}
+        # the maps as lists, so that the form equals its JSON text read back
+        return {"schema": self.schema, **field_dict(self),
+                "row_map": list(self.row_map), "col_map": list(self.col_map)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PaddedGameRecord":
-        rec = from_fields(cls, d, cls.schema, base=GameRecord.from_json_dict,
-                          padded=PayoffMatrix.from_json_dict,
-                          reference_pair=StrategyPair.from_json_dict)
-        if rec.id != _padded_id(rec.kind, rec.base, rec.padded.entries):
-            raise ContractViolation(f"padded record {rec.id}: id does not match its contents")
-        problem = _padded_problem(rec, d["padded"].get("meta"))
-        if problem:
-            raise ContractViolation(f"padded record {rec.id}: {problem}")
-        return rec
-
-
-# the certificate keys each kind of padded record is written with
-_CERTIFICATE_KEYS = {
-    "dominated": {"base_value", "reference_exploit", "padded_value"},
-    "random": {"base_value", "reference_exploit"},
-}
-
-
-def _padded_problem(rec: PaddedGameRecord, stored_meta) -> str | None:
-    """What a padded record read from JSON gets wrong, or None.
-
-    The id covers only the kind, the base id and the padded entries, so the
-    rest is re-checked here without an LP: the stored padded meta is the
-    JSON the writer derives from the base, the maps place the base matrix
-    in the padded one, the reference pair is zero outside them and
-    certifies the base game at base_value, the stored reference_exploit is
-    the pair's raw exploitability on the padded game bit for bit, and a
-    dominated pad's pair certifies the padded game at padded_value.
-    """
-    cert = rec.certificate
-    if rec.kind not in _CERTIFICATE_KEYS:
-        return f"unknown kind {rec.kind!r}"
-    if set(cert) != _CERTIFICATE_KEYS[rec.kind] or not all(type(v) is float for v in cert.values()):
-        return f"certificate is not the {rec.kind} certificate: {cert!r}"
-    meta = _padded_meta(rec.base).to_json_dict()
-    if canonical_json(stored_meta) != canonical_json(meta):
-        return f"padded meta {stored_meta!r} is not the base's {meta!r}"
-    big, k = rec.n, rec.base.n
-    if big <= k:
-        return f"padded size {big} does not exceed the base size {k}"
-    for name, index in (("row_map", rec.row_map), ("col_map", rec.col_map)):
-        if len(index) != k or len(set(index)) != k or not all(
-            type(i) is int and 0 <= i < big for i in index
-        ):
-            return f"{name} {index!r} is not {k} distinct indices below {big}"
-    rows, cols = list(rec.row_map), list(rec.col_map)
-    if rec.padded.entries[np.ix_(rows, cols)].tobytes() != rec.base.matrix.entries.tobytes():
-        return "padded entries at the maps differ from the base matrix"
-    row, col = rec.reference_pair.row.probs, rec.reference_pair.col.probs
-    if row.shape != (big,) or col.shape != (big,):
-        return f"reference pair does not have {big} weights per player"
-    if np.delete(row, rows).any() or np.delete(col, cols).any():
-        return "reference pair is nonzero outside the maps"
-    base_pair = StrategyPair(row=MixedStrategy(row[rows]), col=MixedStrategy(col[cols]))
-    row_regret, col_regret, value = regrets(rec.base.matrix, base_pair)
-    if row_regret + col_regret > CERT_TOL or abs(value - cert["base_value"]) > CERT_TOL:
-        return "reference pair does not certify the base game at base_value"
-    row_regret, col_regret, value = regrets(rec.padded, rec.reference_pair)
-    exploit = row_regret + col_regret  # raw_exploit(padded, reference_pair)
-    if cert["reference_exploit"].hex() != exploit.hex():
-        return f"reference_exploit {cert['reference_exploit']!r} is not the pair's {exploit!r}"
-    if rec.kind == "dominated" and (
-        exploit > CERT_TOL or abs(value - cert["padded_value"]) > CERT_TOL
-    ):
-        return "reference pair does not certify the padded game at padded_value"
-    return None
-
-
-def _padded_id(kind: str, base: GameRecord, padded: np.ndarray) -> str:
-    return content_digest({"kind": kind, "base": base.id, "padded": padded.tolist()})
-
-
-def _padded_meta(base: GameRecord) -> MatrixMeta:
-    return replace(base.matrix.meta, normalized=False)
+        """The record its writer rebuilds from d's base, kind and padded size, if
+        d equals its JSON form: a padded record reads back only as pad writes
+        it. How the unstored shuffle flag is picked: see the module docstring."""
+        try:
+            base = GameRecord.from_json_dict(d["base"])
+            kind, target_n = d.get("kind"), d["padded"]["n"]
+            identity = d.get("row_map") == d.get("col_map") == list(range(base.n))
+        except TypeError as exc:  # d or its padded is not a JSON object
+            raise ContractViolation(f"bad {cls.__name__}: {exc}") from None
+        if kind not in PAD_KINDS:
+            raise ContractViolation(f"padded record {d.get('id')}: unknown kind {kind!r}")
+        if type(target_n) is not int:
+            raise ContractViolation(
+                f"padded record {d.get('id')}: padded n {target_n!r} is not an int")
+        base_eq = solve_zero_sum_lp(base.matrix)
+        if kind == "random":
+            rebuilt = (random_pad(base, target_n, base_eq=base_eq),)
+        else:
+            rebuilt = (dominated_pad(base, target_n, shuffle, base_eq=base_eq)
+                       for shuffle in ((False, True) if identity else (True,)))
+        return _rebuilt("padded record", d, rebuilt)
 
 
 def _pad_base_n(base: GameRecord, target_n: int) -> int:
+    """base.n, once target_n is checked before any array of that size is built."""
     if target_n <= base.n:
         raise ContractViolation(f"target size {target_n} must exceed base size {base.n}")
+    if target_n > MAX_N:
+        raise ContractViolation(f"target size {target_n} must be at most {MAX_N}")
     return base.n
 
 
@@ -287,7 +262,7 @@ def _padded_record(
     """
     if base_eq is None:
         base_eq = solve_zero_sum_lp(base.matrix)
-    matrix = PayoffMatrix(padded, meta=_padded_meta(base))
+    matrix = PayoffMatrix(padded, meta=replace(base.matrix.meta, normalized=False))
     row_map = tuple(int(i) for i in row_map)
     col_map = tuple(int(j) for j in col_map)
     row = np.zeros(matrix.n)
@@ -304,7 +279,7 @@ def _padded_record(
         reference_pair=reference,
         certificate={"base_value": base_eq.value,
                      "reference_exploit": raw_exploit(matrix, reference)},
-        id=_padded_id(kind, base, padded),
+        id=content_digest({"kind": kind, "base": base.id, "padded": padded.tolist()}),
     )
 
 

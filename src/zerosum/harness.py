@@ -189,14 +189,18 @@ def evaluate(
     """
     if not games:
         raise ContractViolation("cannot evaluate an empty game set")
-    if k < 1:
-        raise ContractViolation(f"sample count k must be >= 1, got {k}")
     if jobs < 1:
         raise ContractViolation(f"jobs must be >= 1, got {jobs}")
-    if not 0.0 < tau < 1.0:
-        raise ContractViolation(f"tau must be in (0, 1), got {tau}")
+    _check_k_tau(k, tau)
     responses = _propose(agent, games, k, jobs)
     return _score(agent.name, games, responses, k, tau, condition, distribution)
+
+
+def _check_k_tau(k: int, tau: float) -> None:
+    if k < 1:
+        raise ContractViolation(f"sample count k must be >= 1, got {k}")
+    if not 0.0 < tau < 1.0:
+        raise ContractViolation(f"tau must be in (0, 1), got {tau}")
 
 
 def rescore(result: EvalResult, games) -> EvalResult:
@@ -207,6 +211,7 @@ def rescore(result: EvalResult, games) -> EvalResult:
     """
     if not result.games:
         raise ContractViolation("the stored result holds no games to rescore")
+    _check_k_tau(result.k, result.tau)
     by_id = {g.id: g for g in games}
     try:
         ordered = [by_id[gr.game_id] for gr in result.games]

@@ -43,6 +43,7 @@ from .errors import ContractViolation, SolverError
 
 CERT_TOL = 1e-8          # exploitability certificate for returned equilibria
 MAX_PIVOTS = 100_000
+MAX_N = 64               # the largest game size generated, padded or solved by LP
 SUPPORT_NEG_TOL = 1e-9   # support weights this far below zero are clamped
 SUPPORT_ENUM_MAX_N = 5
 
@@ -65,8 +66,8 @@ def solve_zero_sum_lp(matrix: PayoffMatrix) -> Equilibrium:
     iteration bound or the solution fails the equilibrium certificate;
     neither occurs on the generated distributions.
     """
-    if matrix.n > 64:
-        raise ContractViolation(f"LP solver is bounded at n <= 64, got {matrix.n}")
+    if matrix.n > MAX_N:
+        raise ContractViolation(f"LP solver is bounded at n <= {MAX_N}, got {matrix.n}")
     a = matrix.entries
     shift = 1.0 - float(a.min())
     status, y, duals, obj, iters, degenerate = lp_kernel(a + shift, MAX_PIVOTS)

@@ -525,31 +525,41 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("kind, edit, error", [
         ("dominated", lambda r: r["certificate"].update(padded_value=99.0),
-         "does not certify the padded game at padded_value"),
-        ("dominated", lambda r: r.update(row_map=[4, 3, 2]),
-         "padded entries at the maps differ from the base matrix"),
-        ("dominated", lambda r: r.update(col_map=[0, 0, 1]), "is not 3 distinct indices below 5"),
-        ("random", lambda r: r.update(row_map=[0, 1, 5]), "is not 3 distinct indices below 5"),
-        ("random", lambda r: r.update(kind="shifted"), "id does not match"),
-        ("random", lambda r: r["certificate"].update(extra=1.0), "is not the random certificate"),
+         "certificate does not match its contents"),
+        # the maps are no longer the identity, so only the shuffled pad is rebuilt
+        ("dominated", lambda r: r.update(row_map=[4, 3, 2]), "col_map does not match its contents"),
+        ("dominated", lambda r: r.update(col_map=[0, 0, 1]), "col_map does not match its contents"),
+        ("random", lambda r: r.update(row_map=[0, 1, 5]), "row_map does not match its contents"),
+        ("random", lambda r: r.update(kind="shifted"), "unknown kind 'shifted'"),
+        ("random", lambda r: r["certificate"].update(extra=1.0),
+         "certificate does not match its contents"),
         ("dominated", lambda r: r["certificate"].pop("padded_value"),
-         "is not the dominated certificate"),
-        ("random", lambda r: r["certificate"].update(base_value=1), "is not the random certificate"),
+         "certificate does not match its contents"),
+        ("random", lambda r: r["certificate"].update(base_value=1),
+         "certificate does not match its contents"),
         ("random", lambda r: r["certificate"].update(base_value=r["certificate"]["base_value"] + 1e-6),
-         "does not certify the base game at base_value"),
+         "certificate does not match its contents"),
         ("random", lambda r: r["certificate"].update(
             reference_exploit=math.nextafter(r["certificate"]["reference_exploit"], 1.0)),
-         "reference_exploit"),
+         "certificate does not match its contents"),
         ("random", lambda r: r["reference_pair"].update(row=[0.0, 0.0, 0.0, 0.0, 1.0]),
-         "reference pair is nonzero outside the maps"),
+         "reference_pair does not match its contents"),
         ("dominated", lambda r: r["reference_pair"].update(col=[1.0, 0.0, 0.0, 0.0, 0.0]),
-         "does not certify the base game at base_value"),
+         "reference_pair does not match its contents"),
         ("random", lambda r: r["reference_pair"].update(row=[10 ** 400, 0, 0, 0, 0]),
-         "strategy weights must be finite, got an int beyond float range"),
+         "reference_pair does not match its contents"),
+        ("random", lambda r: r["certificate"].update(
+            base_value=math.nextafter(r["certificate"]["base_value"], math.inf)),
+         "certificate does not match its contents"),
+        ("dominated", lambda r: r["certificate"].update(
+            base_value=math.nextafter(r["certificate"]["base_value"], math.inf)),
+         "certificate does not match its contents"),
+        ("dominated", lambda r: r["padded"].update(n=65), "target size 65 must be at most 64"),
     ], ids=["padded_value", "row_map moved", "col_map repeats", "row_map out of range",
             "kind", "extra certificate key", "missing certificate key", "int certificate value",
             "base_value", "reference_exploit", "pair outside the maps", "pair off equilibrium",
-            "pair weight beyond float range"])
+            "pair weight beyond float range", "random base_value one ulp up",
+            "dominated base_value one ulp up", "padded n above the size limit"])
     def test_solve_on_an_edited_padded_record(self, games, capsys, kind, edit, error):
         assert cli_main("pad", "--in", "g.jsonl", "--kind", kind, "--target-n", 5,
                         "--out", "p.jsonl") == 0
@@ -569,8 +579,36 @@ class TestMalformedInput:
         (games / "bad.jsonl").write_text(json.dumps(record) + "\n")
         res = run("solve", "--in", "bad.jsonl", cwd=games)
         assert res.returncode == 2
-        assert res.stderr == ("configuration error: bad.jsonl: bad record: "
-                              "strategy weights sum to inf, not 1\n")
+        assert res.stderr == ("configuration error: bad.jsonl: bad record: padded record "
+                              f"{record['id']}: reference_pair does not match its contents\n")
+
+    @pytest.mark.parametrize("target", [65, 10 ** 12])
+    @pytest.mark.parametrize("kind", ["dominated", "random"])
+    def test_pad_beyond_the_size_limit(self, games, capsys, kind, target):
+        # numpy refuses 10**12 without allocating; below that the arrays would be built
+        assert cli_main("pad", "--in", "g.jsonl", "--kind", kind, "--target-n", target,
+                        "--out", "p.jsonl") == 2
+        assert f"target size {target} must be at most 64" in capsys.readouterr().err
+        assert not (games / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda r: r["games"][0]["raw_texts"].__setitem__(0, None),
+         "raw_texts has an item of the wrong type: None"),
+        (lambda r: r["games"][0]["raw_texts"].__setitem__(0, 7),
+         "raw_texts has an item of the wrong type: 7"),
+        (lambda r: r.update(k=0), "sample count k must be >= 1, got 0"),
+        (lambda r: r.update(tau=1.5), "tau must be in (0, 1), got 1.5"),
+    ], ids=["null raw text", "int raw text", "k zero", "tau above 1"])
+    def test_rescore_of_an_edited_result(self, games, capsys, edit, error):
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform", "--k", 2,
+                        "--out", "r.json") == 0
+        result = json.loads((games / "r.json").read_text())
+        edit(result)
+        (games / "r.json").write_text(json.dumps(result))
+        capsys.readouterr()
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform",
+                        "--rescore", "r.json") == 2
+        assert error in capsys.readouterr().err
 
     def test_eval_with_a_wrongly_typed_remote_config(self, games, capsys):
         config = {"endpoint": "http://127.0.0.1:1", "model": "m", "retries": 1.5}

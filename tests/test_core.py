@@ -45,12 +45,6 @@ class TestPayoffMatrix:
         with pytest.raises(ValueError):
             m.entries[0, 0] = 5.0
 
-    def test_json_round_trip_is_exact(self):
-        m = normalize_payoffs(PayoffMatrix(np.array([[3.0, 0.17], [-2.4, 1.0]])))
-        back = PayoffMatrix.from_json_dict(json.loads(json.dumps(m.to_json_dict())))
-        assert np.array_equal(back.entries, m.entries)
-        assert back.meta == m.meta
-
 
 class TestMixedStrategy:
     def test_validates_simplex_membership(self):

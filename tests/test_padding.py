@@ -1,6 +1,7 @@
 """Padding constructions: dominated surrounds must preserve the base
 equilibrium, random surrounds must not."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -149,6 +150,14 @@ class TestRandomPad:
         assert np.array_equal(a.padded.entries, b.padded.entries)
 
 
+@pytest.mark.parametrize("target", [65, 10 ** 12])
+@pytest.mark.parametrize("pad", [dominated_pad, random_pad])
+def test_rejects_a_target_above_the_size_limit(pad, target):
+    # checked before any array is built; numpy refuses 10**12 without allocating
+    with pytest.raises(ContractViolation, match=f"target size {target} must be at most 64"):
+        pad(base_game(seed=0), target)
+
+
 def test_given_base_solution_gives_the_same_record():
     for seed in range(4):
         base = base_game(seed=seed, n=2 + seed % 2)
@@ -174,6 +183,28 @@ class TestPaddedSerialization:
             back.reference_pair.row.probs, rec.reference_pair.row.probs
         )
         assert back.certificate == rec.certificate
+
+    def test_shuffled_pad_with_identity_maps_reads_back_shuffled(self):
+        base = sample_game(GameSpec(n=2, seed=394))
+        rec = dominated_pad(base, 4, shuffle=True)
+        plain = dominated_pad(base, 4)
+        assert rec.row_map == rec.col_map == plain.row_map == plain.col_map == (0, 1)
+        assert rec.id != plain.id
+        for r in (rec, plain):
+            text = canonical_json(r.to_json_dict())
+            back = PaddedGameRecord.from_json_dict(json.loads(text))
+            assert canonical_json(back.to_json_dict()) == text
+
+    @pytest.mark.parametrize("pad", [lambda b: dominated_pad(b, 6, shuffle=True),
+                                     lambda b: random_pad(b, 6)], ids=["dominated", "random"])
+    def test_signed_zero_weight_reads_back_as_written(self, pad):
+        rec = pad(base_game(seed=1))
+        text = canonical_json(rec.to_json_dict())
+        d = json.loads(text)
+        row = d["reference_pair"]["row"]
+        row[row.index(0.0)] = -0.0
+        back = PaddedGameRecord.from_json_dict(d)
+        assert canonical_json(back.to_json_dict()) == text
 
     def test_rejects_unknown_schema(self):
         d = random_pad(base_game(seed=1), 8).to_json_dict()

@@ -17,10 +17,7 @@ from zerosum import (
     GameRecord,
     GameResult,
     GameSpec,
-    MatrixMeta,
     PaddedGameRecord,
-    PayoffMatrix,
-    StrategyPair,
     UniformAgent,
     check_residual_lipschitz,
     dominated_pad,
@@ -136,10 +133,6 @@ def _readable(records):
     game = records["gamerec_sparse"]
     return [
         game.spec,
-        game.matrix.meta,
-        MatrixMeta(),
-        game.raw,
-        padded.reference_pair,
         records["gamerec_integer"],
         records["gamerec_gaussian"],
         game,
@@ -155,14 +148,13 @@ def test_round_trip_through_json_text(records):
         text = canonical_json(rec.to_json_dict())
         back = type(rec).from_json_dict(json.loads(text))
         assert canonical_json(back.to_json_dict()) == text, type(rec).__name__
-        if type(rec) in (GameSpec, MatrixMeta, GameResult, EvalResult):
+        if type(rec) in (GameSpec, GameResult, EvalResult):
             assert back == rec
 
 
 def test_readable_types_are_covered(records):
     covered = {type(r) for r in _readable(records)}
-    assert covered == {GameSpec, MatrixMeta, PayoffMatrix, StrategyPair, GameRecord,
-                       PaddedGameRecord, GameResult, EvalResult}
+    assert covered == {GameSpec, GameRecord, PaddedGameRecord, GameResult, EvalResult}
 
 
 def test_reader_rejects_missing_unknown_and_wrongly_typed_keys(records):

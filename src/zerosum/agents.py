@@ -31,7 +31,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class AgentResponse:
     raw_text: str
     parsed: StrategyPair | None
     parse_error: str | None
-    latency: float = 0.0
 
     def __post_init__(self):
         if (self.parsed is None) == (self.parse_error is None):
@@ -185,8 +184,8 @@ class NoisyOracleAgent:
     """
 
     def __init__(self, sigma: float, seed: int = 0):
-        if sigma < 0:
-            raise ContractViolation(f"noise scale must be >= 0, got {sigma}")
+        if not 0 <= sigma < math.inf:
+            raise ContractViolation(f"noise scale must be finite and >= 0, got {sigma}")
         self.sigma = float(sigma)
         self.seed = int(seed)
         self.name = f"noisy:{self.sigma:g}"
@@ -248,8 +247,10 @@ class RemoteModelConfig:
     def __post_init__(self):
         if not self.endpoint:
             raise ConfigError("remote config needs an endpoint URL")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
         if self.max_inflight < 1:
@@ -350,7 +351,6 @@ class RemoteModelAgent:
                     self.transport_failures += 1
                 resp = AgentResponse(raw_text="", parsed=None, parse_error="malformed")
             latency = time.perf_counter() - start
-            resp = replace(resp, latency=latency)
             self._audit(
                 {
                     "game_id": game.id,

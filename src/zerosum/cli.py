@@ -84,6 +84,7 @@ from .harness import (
     padding_cliff_experiment,
     rescore,
 )
+from .rng import root_seed
 from .solver import (
     CERT_TOL,
     SUPPORT_ENUM_MAX_N,
@@ -106,6 +107,10 @@ def _as_int(value, key):
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _as_seed(value, key):
+    return root_seed(_as_int(value, key))
 
 
 def _as_float(value, key):
@@ -239,7 +244,7 @@ def _load_records(path: str) -> list:
     return records
 
 
-_PLAIN_AGENTS = {"uniform": UniformAgent, "maximin": MaximinAgent, "oracle": OracleAgent}
+_PLAIN_AGENTS = {agent.name: agent for agent in (UniformAgent, MaximinAgent, OracleAgent)}
 
 
 def _agent_from_spec(spec: str, seed, audit_log=None):
@@ -283,6 +288,8 @@ def cmd_pad(cfg: dict) -> int:
     src, kind, target, out = cfg["in"], cfg["kind"], cfg["target_n"], cfg["out"]
     if kind not in PAD_KINDS:
         raise ConfigError(f"pad kind must be {' or '.join(PAD_KINDS)}, got {kind!r}")
+    if kind == "random" and cfg["shuffle"]:
+        raise ConfigError("--shuffle applies to dominated padding only")
     bases = _load_records(src)
     padded = []
     for rec in bases:
@@ -543,7 +550,7 @@ def cmd_report(cfg: dict) -> int:
 
 # one row per option: (key, cast, default, required, help); the flag is
 # --key with "_" written as "-", and the help gains "(required)" or "(default X)"
-_SEED = ("seed", _as_int, None, True, "root seed")
+_SEED = ("seed", _as_seed, None, True, "root seed")
 _K = ("k", _as_int, DEFAULT_K, False, "samples per game")
 _TAU = ("tau", _as_float, DEFAULT_TAU, False, "success threshold")
 _JOBS = ("jobs", _as_int, 1, False, "parallel games")
@@ -575,7 +582,7 @@ _COMMANDS = {
         ("agent", None, None, True, "uniform|maximin|oracle|noisy:SIGMA|block:K|remote:CFG"),
         _K,
         _TAU,
-        ("seed", _as_int, None, False, "seed for stochastic agents"),
+        ("seed", _as_seed, None, False, "seed for stochastic agents"),
         _JOBS,
         ("audit_log", None, None, False, "remote I/O JSONL path"),
         ("rescore", None, None, False, "recompute a stored result from raw texts"),

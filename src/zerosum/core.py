@@ -48,8 +48,9 @@ def content_digest(obj) -> str:
 
 # the values a field accepts, keyed by its annotation's text up to any "["
 # (modules defer annotations, so a field's type is a string), and for
-# "tuple[T, ...]" the values its items accept, keyed by T; other fields and
-# items, such as "int | None" or a nested record, are not checked here
+# "tuple[T, ...]" the values its items accept, keyed by T; "T | None" accepts
+# what T accepts and None; other fields and items, such as a nested record,
+# are not checked here
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
                "tuple": tuple, "dict": dict}
 
@@ -60,9 +61,13 @@ def _json_fields(cls) -> tuple:
     field of dataclass cls."""
     out = []
     for f in fields(cls):
-        head, _, items = f.type.partition("[")
+        scalar = f.type.removesuffix(" | None")
+        head, _, items = scalar.partition("[")
+        want = _JSON_TYPES.get(head)
+        if want and scalar != f.type:
+            want = (want, type(None))  # isinstance reads nested tuples
         item_types = _JSON_TYPES.get(items.partition(",")[0]) if head == "tuple" else None
-        out.append((f.name, _JSON_TYPES.get(head), item_types))
+        out.append((f.name, want, item_types))
     return tuple(out)
 
 
@@ -116,7 +121,7 @@ def from_fields(cls, d, schema: str | None = None, **readers):
                 # bool is an int subclass, but true is no number in a record
                 if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
                     raise TypeError(f"{name} has the wrong type: {value!r}")
-                if item_want:
+                if item_want and value is not None:
                     _check_items(name, value, item_want)
         return cls(**kwargs)
     except TypeError as exc:
@@ -195,18 +200,14 @@ class PayoffMatrix:
         return {"n": self.n, "entries": self.entries.tolist(), "meta": self.meta.to_json_dict()}
 
 
-def strategy_checks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rules of a mixed strategy, in the order MixedStrategy applies them, for a batch.
-
-    For each vector along the last axis of arr: (all weights finite, all
-    nonnegative, sum within SIMPLEX_SUM_TOL of 1), as boolean arrays over
-    the leading axes (scalars for a single vector). The last two are
-    meaningful only where the first holds.
-    """
+def is_strategy(arr: np.ndarray) -> np.ndarray:
+    """Whether MixedStrategy's rules hold for each vector along the last axis
+    of arr: all weights finite and nonnegative, summing within
+    SIMPLEX_SUM_TOL of 1. A boolean array over the leading axes (a scalar
+    for a single vector)."""
     finite = np.isfinite(arr).all(axis=-1)
     nonnegative = (arr >= 0.0).all(axis=-1)
-    sums_to_one = np.abs(arr.sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL
-    return finite, nonnegative, sums_to_one
+    return finite & nonnegative & (np.abs(arr.sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL)
 
 
 @dataclass(frozen=True, eq=False)

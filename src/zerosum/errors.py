@@ -24,23 +24,20 @@ class ConfigError(ZeroSumError, ValueError):
 
 
 class VerificationError(ZeroSumError, RuntimeError):
-    """A certificate or theorem check that must hold did not."""
+    """A certificate or theorem check that must hold did not; instance is the
+    offending input, when there is one."""
+
+    def __init__(self, message: str, instance=None):
+        super().__init__(message)
+        self.instance = instance
 
 
 class SolverError(VerificationError):
     """LP or support enumeration failed; carries the offending matrix."""
 
-    def __init__(self, message: str, instance=None):
-        super().__init__(message)
-        self.instance = instance
-
 
 class ConstructionError(VerificationError):
     """A padded game failed its equilibrium-preservation certificate."""
-
-    def __init__(self, message: str, instance=None):
-        super().__init__(message)
-        self.instance = instance
 
 
 class TransportExhausted(ZeroSumError, RuntimeError):

@@ -50,11 +50,11 @@ from .core import (
     normalize_payoffs,
 )
 from .errors import ConstructionError, ContractViolation
-from .rng import child_seed, generator, standard_normal
+from .rng import child_seed, generator, root_seed, standard_normal
 from .solver import CERT_TOL, MAX_N, Equilibrium, raw_exploit, solve_zero_sum_lp
 
-DISTRIBUTIONS = ("integer", "gaussian", "sparse")
 _DIST_CODE = {"integer": 1, "gaussian": 2, "sparse": 3}
+DISTRIBUTIONS = tuple(_DIST_CODE)
 _DOMINATED_TAG = 101
 _RANDOM_PAD_TAG = 102
 PAD_KINDS = ("dominated", "random")
@@ -78,8 +78,7 @@ class GameSpec:
             raise ContractViolation(
                 f"unknown distribution {self.distribution!r}; choose from {DISTRIBUTIONS}"
             )
-        if not 0 <= self.seed < 2 ** 64:
-            raise ContractViolation("seed must fit in 64 bits")
+        root_seed(self.seed)
         if not 0.0 < self.sparse_density <= 1.0:
             raise ContractViolation(
                 f"sparse_density must be in (0, 1], got {self.sparse_density}"
@@ -212,8 +211,9 @@ class PaddedGameRecord:
         return self.padded.n
 
     def to_json_dict(self) -> dict:
-        # the maps as lists, so that the form equals its JSON text read back
-        return {"schema": self.schema, **field_dict(self),
+        # the maps as lists, so that the form equals its JSON text read back;
+        # the certificate copied, so that editing the form leaves the record
+        return {"schema": self.schema, **field_dict(self), "certificate": dict(self.certificate),
                 "row_map": list(self.row_map), "col_map": list(self.col_map)}
 
     @classmethod

@@ -24,6 +24,10 @@ Child seeds are derived with a splitmix64 chain::
 GOLDEN is the splitmix64 increment 0x9E3779B97F4A7C15. The rule is part of
 the serialization contract: eval sets derive game i at size n from
 (eval_seed, n, i), so any single game can be regenerated alone.
+
+A root seed is an int in [0, 2^64); ``root_seed`` states that rule, and
+``child_seed``, ``GameSpec`` and the CLI's seed options all read it, so no
+two roots alias one stream. The path parts are reduced mod 2^64.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import ContractViolation
 
 _MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -45,9 +51,16 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
+def root_seed(seed: int) -> int:
+    """seed, if it is a root seed: an int in [0, 2^64); else ContractViolation."""
+    if not 0 <= seed <= _MASK:
+        raise ContractViolation(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def child_seed(root: int, *parts: int) -> int:
-    """Derive a 64-bit child seed from a root and an integer path."""
-    h = root & _MASK
+    """Derive a 64-bit child seed from a root seed and an integer path."""
+    h = root_seed(root)
     for p in parts:
         h = splitmix64(h ^ ((int(p) * GOLDEN) & _MASK))
     return h

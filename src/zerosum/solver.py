@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from ._kernels import exploit_terms_batch, lp_kernel
-from .core import MixedStrategy, PayoffMatrix, StrategyPair, regrets, strategy_checks
+from .core import MixedStrategy, PayoffMatrix, StrategyPair, is_strategy, regrets
 
 # not called here: perfbench/tracing.py patches solver.exploit_terms and
 # solver.raw_exploit, and perfbench/workloads.py calls solver.raw_exploit
@@ -144,12 +144,6 @@ def _equalize(blocks: np.ndarray, support: np.ndarray, n: int, live: np.ndarray)
     return ok, full
 
 
-def _is_strategy(full: np.ndarray) -> np.ndarray:
-    """Per row: whether MixedStrategy accepts it."""
-    finite, nonnegative, sums_to_one = strategy_checks(full)
-    return finite & nonnegative & sums_to_one
-
-
 def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
     """Find an equilibrium by scanning equal-size support pairs (n <= 5).
 
@@ -173,9 +167,9 @@ def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
         blocks = a[rows[:, :, None], cols[:, None, :]]
         # the row side is solved only where the column side is a strategy
         col_ok, q = _equalize(blocks, cols, n, np.ones(len(blocks), dtype=bool))
-        q_valid = _is_strategy(q)
+        q_valid = is_strategy(q)
         row_ok, p = _equalize(blocks.transpose(0, 2, 1), rows, n, col_ok & q_valid)
-        p_valid = _is_strategy(p)
+        p_valid = is_strategy(p)
         both = np.flatnonzero(row_ok & p_valid)
         max_aq, min_pa, values = exploit_terms_batch(a, p[both], q[both])
         # the batched form of core.regrets; fmax, like its max(0.0, x), maps NaN to 0.0

@@ -25,6 +25,7 @@ from .rng import child_seed, generator, standard_normal
 from .solver import solve_zero_sum_lp
 
 LIPSCHITZ_SLACK = 1e-9
+DISCONTINUITY_EPS = tuple(10.0 ** -k for k in range(1, 9))  # the scaled-pennies path
 
 
 def _random_simplex(rng, n: int) -> np.ndarray:
@@ -121,9 +122,7 @@ def _pair_l1(a: StrategyPair, b: StrategyPair) -> float:
     )
 
 
-def selector_discontinuity_demo(
-    eps_values: tuple[float, ...] = tuple(10.0 ** -k for k in range(1, 9)),
-) -> DiscontinuityReport:
+def selector_discontinuity_demo() -> DiscontinuityReport:
     """No continuous equilibrium selection exists at the zero matrix.
 
     For every eps > 0 the game eps * [[1,-1],[-1,1]] has the unique
@@ -132,13 +131,11 @@ def selector_discontinuity_demo(
     stays >= 1 in l1 norm while the matrix perturbation shrinks to 0:
     the selector's discontinuity is forced, not an implementation choice.
     """
-    if not eps_values or any(e <= 0 for e in eps_values):
-        raise ContractViolation("eps values must be positive")
     mp = np.array([[1.0, -1.0], [-1.0, 1.0]])
     zero_eq = solve_zero_sum_lp(PayoffMatrix(np.zeros((2, 2))))
     rows = []
     min_jump = math.inf
-    for eps in eps_values:
+    for eps in DISCONTINUITY_EPS:
         eq = solve_zero_sum_lp(PayoffMatrix(eps * mp))
         jump = _pair_l1(eq.pair, zero_eq.pair)
         min_jump = min(min_jump, jump)
@@ -272,12 +269,13 @@ class ToyPolicy:
     def __post_init__(self):
         if self.grid_m < 2:
             raise ContractViolation("grid needs at least 2 points")
-        if self.learning_rate <= 0:
-            raise ContractViolation("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ContractViolation(
+                f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.group_size < 1:
             raise ContractViolation("group size must be >= 1")
-        if self.kl_coef < 0:
-            raise ContractViolation("kl_coef must be >= 0")
+        if not 0 <= self.kl_coef < math.inf:
+            raise ContractViolation(f"kl_coef must be finite and >= 0, got {self.kl_coef}")
         if self.init_logits is not None and len(self.init_logits) != self.grid_m:
             raise ContractViolation("init_logits length must equal grid_m")
 

@@ -4,6 +4,7 @@ strategies, and the remote HTTP agent against a scripted local server."""
 import contextlib
 import hashlib
 import json
+import math
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -250,6 +251,11 @@ class TestBuiltinAgents:
         with pytest.raises(ContractViolation):
             NoisyOracleAgent(sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_noisy_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ContractViolation, match="noise scale must be finite"):
+            NoisyOracleAgent(sigma=sigma)
+
     def test_block_agent_exact_on_dominated_pad(self):
         rec = dominated_pad(GAME3, 8)
         out = BlockSolverAgent(block_n=3).propose(rec, 1)
@@ -272,6 +278,15 @@ class TestRemoteConfig:
             RemoteModelConfig(endpoint="http://x", model="m", retries=-1)
         with pytest.raises(ConfigError):
             RemoteModelConfig(endpoint="http://x", model="m", max_inflight=0)
+
+    @pytest.mark.parametrize("edit", [
+        {"temperature": math.nan}, {"temperature": math.inf},
+        {"timeout": 0.0}, {"timeout": -1.0}, {"timeout": math.nan}, {"timeout": math.inf},
+    ], ids=["nan temperature", "inf temperature", "zero timeout", "negative timeout",
+            "nan timeout", "inf timeout"])
+    def test_validation_refuses_what_a_request_cannot_use(self, edit):
+        with pytest.raises(ConfigError, match="must be finite"):
+            RemoteModelConfig(endpoint="http://x", model="m", **edit)
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):

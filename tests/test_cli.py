@@ -598,7 +598,9 @@ class TestMalformedInput:
          "raw_texts has an item of the wrong type: 7"),
         (lambda r: r.update(k=0), "sample count k must be >= 1, got 0"),
         (lambda r: r.update(tau=1.5), "tau must be in (0, 1), got 1.5"),
-    ], ids=["null raw text", "int raw text", "k zero", "tau above 1"])
+        (lambda r: r["games"][0].update(best_sample_index="0"),
+         "bad GameResult: best_sample_index has the wrong type: '0'"),
+    ], ids=["null raw text", "int raw text", "k zero", "tau above 1", "string sample index"])
     def test_rescore_of_an_edited_result(self, games, capsys, edit, error):
         assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform", "--k", 2,
                         "--out", "r.json") == 0
@@ -654,3 +656,72 @@ class TestMalformedInput:
     def test_unknown_audit_kind(self, games, capsys):
         assert cli_main("audit", "--in", "g.jsonl", "--seed", 1, "--kind", "bogus") == 2
         assert "unknown audit kind 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 65 - 1], ids=["-1", "2**65-1"])
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", 3, "--count", 2, "--out", "x.jsonl"],
+        ["eval", "--in", "g.jsonl", "--agent", "uniform", "--out", "r.json"],
+        ["eval", "--in", "g.jsonl", "--agent", "noisy:0.3", "--out", "r.json"],
+        ["audit", "--in", "g.jsonl", "--out", "a.json"],
+        ["pad-exp", "--agent", "block:2", "--base-n", 2, "--targets", 4, "--count", 2,
+         "--k", 1, "--out", "c.json"],
+        ["verify-theorems", "--trials", 2, "--out", "t.json"],
+        ["train-toy", "--steps", 2, "--out", "t.json"],
+    ], ids=["gen", "eval uniform", "eval noisy", "audit", "pad-exp", "verify-theorems",
+            "train-toy"])
+    def test_seed_outside_64_bits(self, games, capsys, argv, seed):
+        # such seeds once aliased the stream of seed mod 2**64
+        assert cli_main(*argv, "--seed", seed) == 2
+        assert f"seed must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+        assert not any((games / name).exists() for name in ("x.jsonl", "r.json", "a.json",
+                                                            "c.json", "t.json"))
+
+    def test_top_seed_writes_what_it_always_wrote(self, games):
+        assert cli_main("gen", "--n", 3, "--count", 2, "--seed", 2 ** 64 - 1,
+                        "--out", "top.jsonl") == 0
+        manifest = read_manifest("top.jsonl")
+        assert (manifest["id"], manifest["outputs"]) == (
+            "f3f2c2a85193c345", {"top.jsonl": "3e9d7392fa4d523e"})
+
+    @pytest.mark.parametrize("agent", ["noisy:nan", "noisy:inf", "noisy:-1"])
+    def test_noise_scale_must_be_finite_and_nonnegative(self, games, capsys, agent):
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", agent, "--seed", 1,
+                        "--out", "r.json") == 2
+        assert "noise scale must be finite and >= 0" in capsys.readouterr().err
+        assert not (games / "r.json").exists()
+
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--lr", "nan", "learning rate must be finite and > 0, got nan"),
+        ("--lr", "inf", "learning rate must be finite and > 0, got inf"),
+        ("--kl-coef", "nan", "kl_coef must be finite and >= 0, got nan"),
+        ("--kl-coef", "inf", "kl_coef must be finite and >= 0, got inf"),
+    ])
+    def test_train_toy_refuses_non_finite_rates(self, games, capsys, flag, value, error):
+        assert cli_main("train-toy", "--steps", 2, "--seed", 1, flag, value,
+                        "--out", "t.json") == 2
+        assert error in capsys.readouterr().err
+        assert not (games / "t.json").exists()
+
+    @pytest.mark.parametrize("edit, error", [
+        ({"temperature": float("nan")}, "temperature must be finite and >= 0, got nan"),
+        ({"temperature": float("inf")}, "temperature must be finite and >= 0, got inf"),
+        ({"timeout": 0}, "timeout must be finite and > 0, got 0"),
+        ({"timeout": float("nan")}, "timeout must be finite and > 0, got nan"),
+        ({"timeout": float("inf")}, "timeout must be finite and > 0, got inf"),
+    ], ids=["nan temperature", "inf temperature", "zero timeout", "nan timeout", "inf timeout"])
+    def test_eval_with_a_remote_config_out_of_range(self, games, capsys, edit, error):
+        # json writes and reads NaN and Infinity, so a config file can hold them
+        config = {"endpoint": "http://127.0.0.1:1", "model": "m", **edit}
+        (games / "remote.json").write_text(json.dumps(config))
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "remote:remote.json",
+                        "--seed", 1, "--k", 1) == 2
+        assert error in capsys.readouterr().err
+
+    def test_shuffled_random_pad(self, games, capsys):
+        # a random pad has no shuffle, so the flag cannot be honoured or recorded
+        assert cli_main("pad", "--in", "g.jsonl", "--kind", "random", "--target-n", 5,
+                        "--shuffle", "true", "--out", "p.jsonl") == 2
+        assert "--shuffle applies to dominated padding only" in capsys.readouterr().err
+        assert not (games / "p.jsonl").exists()
+        assert cli_main("pad", "--in", "g.jsonl", "--kind", "random", "--target-n", 5,
+                        "--shuffle", "false", "--out", "p.jsonl") == 0

@@ -1,7 +1,11 @@
-"""The package runs on numpy plus the standard library, nothing else.
+"""The package runs on numpy plus the standard library, nothing else, and
+imports nothing it does not use.
 
 Every import statement in src/zerosum/*.py, including those inside
-functions, must name a stdlib module, numpy, or zerosum itself."""
+functions, must name a stdlib module, numpy, or zerosum itself, and every
+name it binds must be read somewhere in its module (or listed in the
+module's ``__all__``). An import line marked ``# noqa: F401`` is kept on
+purpose and exempt."""
 
 import ast
 import sys
@@ -30,3 +34,32 @@ def test_runtime_imports_are_numpy_or_stdlib():
         if module.split(".")[0] not in sys.stdlib_module_names | ALLOWED
     ]
     assert not foreign, foreign
+
+
+def _unused_imports(path):
+    text = path.read_text()
+    tree = ast.parse(text, filename=str(path))
+    lines = text.splitlines()
+    bound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            # "import a.b" binds a
+            bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [(lineno, name) for lineno, name in bound if name not in read]
+
+
+def test_every_imported_name_is_used():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    unused = [f"{path.name}:{lineno}: {name}"
+              for path in files for lineno, name in _unused_imports(path)]
+    assert not unused, unused

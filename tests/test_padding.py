@@ -206,6 +206,14 @@ class TestPaddedSerialization:
         back = PaddedGameRecord.from_json_dict(d)
         assert canonical_json(back.to_json_dict()) == text
 
+    @pytest.mark.parametrize("pad", [lambda b: dominated_pad(b, 6), lambda b: random_pad(b, 6)],
+                             ids=["dominated", "random"])
+    def test_editing_the_json_form_leaves_the_record(self, pad):
+        rec = pad(base_game(seed=1))
+        before = dict(rec.certificate)
+        rec.to_json_dict()["certificate"]["extra"] = 1.0
+        assert rec.certificate == before
+
     def test_rejects_unknown_schema(self):
         d = random_pad(base_game(seed=1), 8).to_json_dict()
         d["schema"] = "padrec/0"

@@ -23,8 +23,8 @@ from zerosum.core import (
     PROJECT_MIN_MASS,
     SIMPLEX_SUM_TOL,
     MixedStrategy,
+    is_strategy,
     project_to_simplex,
-    strategy_checks,
 )
 from zerosum.errors import ContractViolation
 
@@ -118,7 +118,7 @@ def test_seeded_vectors_match_the_reference():
 
 def test_mixed_strategy_decides_as_numpy_sums():
     """MixedStrategy sums under the overflow guard; on the same seeded
-    vectors it accepts exactly what strategy_checks, on numpy's arr.sum(),
+    vectors it accepts exactly what is_strategy, on numpy's arr.sum(),
     accepts, and rejects the rest with ContractViolation."""
     rng = np.random.default_rng(13)
     verdicts = set()
@@ -126,7 +126,7 @@ def test_mixed_strategy_decides_as_numpy_sums():
         for kind in range(8):
             for w in _seeded_batch(rng, kind, n, 300):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    ok = all(strategy_checks(w))
+                    ok = is_strategy(w)
                 try:
                     MixedStrategy(w)
                 except ContractViolation:

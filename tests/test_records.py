@@ -176,3 +176,12 @@ def test_reader_rejects_missing_unknown_and_wrongly_typed_keys(records):
     for cls, d in bad:
         with pytest.raises(ContractViolation):
             cls.from_json_dict(d)
+
+
+def test_reader_checks_an_optional_field_as_its_type_or_null(records):
+    game = records["evalres_invalid"].to_json_dict()["games"][0]
+    for index in (None, 0, 3):
+        assert GameResult.from_json_dict({**game, "best_sample_index": index}).best_sample_index == index
+    for index in ("0", True, 0.0, [0]):
+        with pytest.raises(ContractViolation, match="best_sample_index has the wrong type"):
+            GameResult.from_json_dict({**game, "best_sample_index": index})

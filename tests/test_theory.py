@@ -109,14 +109,6 @@ class TestDiscontinuity:
         assert max(eps) / min(eps) >= 1e7
         assert all(a > b for a, b in zip(eps, eps[1:]))
 
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ContractViolation):
-            selector_discontinuity_demo(eps_values=())
-        with pytest.raises(ContractViolation):
-            selector_discontinuity_demo(eps_values=(0.1, 0.0))
-        with pytest.raises(ContractViolation):
-            selector_discontinuity_demo(eps_values=(-0.1,))
-
 
 class TestAdvantages:
     def test_cooperative_known_group(self):
@@ -184,6 +176,15 @@ class TestToyPolicy:
             ToyPolicy(kl_coef=-0.1)
         with pytest.raises(ContractViolation):
             ToyPolicy(grid_m=5, init_logits=(0.0, 0.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("kl_coef", math.nan), ("kl_coef", math.inf),
+    ])
+    def test_non_finite_rates_are_refused(self, field, value):
+        # a nan kl_coef once ran as 0, since the update tests kl_coef > 0
+        with pytest.raises(ContractViolation, match="must be finite"):
+            ToyPolicy(**{field: value})
 
 
 class TestToyTrainer:

@@ -378,10 +378,9 @@ def cmd_eval(cfg: dict) -> int:
     dist_label = dists.pop() if len(dists) == 1 else ""
     if rescore_path:
         prior = EvalResult.from_json_dict(_read_json(rescore_path))
-        result = rescore(prior, games)
-        identical = result.to_json_dict() == prior.to_json_dict()
-        _emit("eval", cfg, [src, rescore_path], result.to_json_dict())
-        if not identical:
+        payload = rescore(prior, games).to_json_dict()
+        _emit("eval", cfg, [src, rescore_path], payload)
+        if payload != prior.to_json_dict():
             raise VerificationError("rescore does not reproduce the stored result")
         print("rescore reproduced the stored result exactly")
         return 0

@@ -5,9 +5,11 @@ import contextlib
 import hashlib
 import json
 import math
+import re
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,13 +23,17 @@ from zerosum import (
     MaximinAgent,
     NoisyOracleAgent,
     OracleAgent,
+    PayoffMatrix,
     RemoteModelAgent,
     RemoteModelConfig,
     UniformAgent,
+    agents,
     build_prompt,
     dominated_pad,
+    padding_cliff_experiment,
     parse_response,
     project_to_simplex,
+    random_pad,
     raw_exploit,
     sample_game,
     serialize_pair,
@@ -262,12 +268,79 @@ class TestBuiltinAgents:
         assert raw_exploit(rec.padded, out[0].parsed) <= 1e-8
 
 
+def _counting_lp(monkeypatch) -> list:
+    """Patch the agents module's LP; return the list of block bytes it solves."""
+    solved = []
+
+    def counting(matrix):
+        solved.append(matrix.entries.tobytes())
+        return solve_zero_sum_lp(matrix)
+
+    monkeypatch.setattr(agents, "solve_zero_sum_lp", counting)
+    return solved
+
+
+def _signed_zero_games():
+    # rock-paper-scissors, once with +0.0 on the diagonal and once with -0.0:
+    # equal values, different bytes
+    rps = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+    signed = np.where(rps == 0, -0.0, rps)
+    return [SimpleNamespace(n=3, matrix=PayoffMatrix(m)) for m in (rps, signed)]
+
+
+class TestBlockAgentCache:
+    def _games(self):
+        bases = [sample_game(GameSpec(n=3, distribution="integer", seed=s)) for s in range(3)]
+        dense = [sample_game(GameSpec(n=n, distribution="integer", seed=9)) for n in (5, 7)]
+        pads = [pad for b in bases for pad in (
+            dominated_pad(b, 5), dominated_pad(b, 5, shuffle=True), dominated_pad(b, 7),
+            random_pad(b, 5), random_pad(b, 7))]
+        # every base and pad seen twice, and the bases again after their pads
+        return bases + pads + dense + _signed_zero_games() + pads + bases
+
+    def test_a_shared_agent_answers_as_a_fresh_one(self, monkeypatch):
+        games = self._games()
+        assert len({g.matrix.entries.tobytes() for g in _signed_zero_games()}) == 2
+        fresh = [BlockSolverAgent(3).propose(g, 2) for g in games]
+        solved = _counting_lp(monkeypatch)
+        shared = BlockSolverAgent(3)
+        for game, want in zip(games, fresh):
+            got = shared.propose(game, 2)
+            assert [r.raw_text for r in got] == [r.raw_text for r in want]
+            for a, b in zip(got, want):
+                assert a.parsed.row.probs.tobytes() == b.parsed.row.probs.tobytes()
+                assert a.parsed.col.probs.tobytes() == b.parsed.col.probs.tobytes()
+        blocks = {g.matrix.entries[:3, :3].tobytes() for g in games}
+        # each distinct block once, the -0.0 block apart from the +0.0 one
+        assert sorted(solved) == sorted(blocks)
+        assert len(blocks) < len(games)
+
+    def test_two_instances_share_nothing(self, monkeypatch):
+        solved = _counting_lp(monkeypatch)
+        first, second = BlockSolverAgent(3), BlockSolverAgent(3)
+        first.propose(GAME3, 1)
+        first.propose(dominated_pad(GAME3, 6), 1)
+        assert len(solved) == 1
+        second.propose(GAME3, 1)
+        assert len(solved) == 2
+
+    def test_a_thread_pool_gives_the_serial_report(self):
+        def run(jobs):
+            return padding_cliff_experiment(
+                BlockSolverAgent(2), base_n=2, targets=(4, 6), count=4, k=2, seed=5, jobs=jobs
+            ).to_json_dict()
+
+        assert run(2) == run(1)
+
+
 class TestRemoteConfig:
     def test_defaults(self):
         cfg = RemoteModelConfig(endpoint="http://x", model="m")
         assert cfg.temperature == 0.7
         assert cfg.retries == 2
         assert cfg.auth_env == "ZEROSUM_API_TOKEN"
+        # urllib reads the scheme in any case
+        assert RemoteModelConfig(endpoint="HTTPS://x", model="m").endpoint == "HTTPS://x"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -287,6 +360,16 @@ class TestRemoteConfig:
     def test_validation_refuses_what_a_request_cannot_use(self, edit):
         with pytest.raises(ConfigError, match="must be finite"):
             RemoteModelConfig(endpoint="http://x", model="m", **edit)
+
+    @pytest.mark.parametrize("edit, error", [
+        ({"max_tokens": 0}, "max_tokens must be >= 1, got 0"),
+        ({"max_tokens": -5}, "max_tokens must be >= 1, got -5"),
+        ({"endpoint": "x"}, "endpoint must be an http:// or https:// URL, got 'x'"),
+        ({"endpoint": "ftp://x"}, "endpoint must be an http:// or https:// URL, got 'ftp://x'"),
+    ], ids=["zero max_tokens", "negative max_tokens", "no scheme", "ftp scheme"])
+    def test_validation_refuses_a_bad_endpoint_or_token_budget(self, edit, error):
+        with pytest.raises(ConfigError, match=re.escape(error)):
+            RemoteModelConfig(**{"endpoint": "http://x", "model": "m", **edit})
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):

@@ -708,7 +708,10 @@ class TestMalformedInput:
         ({"timeout": 0}, "timeout must be finite and > 0, got 0"),
         ({"timeout": float("nan")}, "timeout must be finite and > 0, got nan"),
         ({"timeout": float("inf")}, "timeout must be finite and > 0, got inf"),
-    ], ids=["nan temperature", "inf temperature", "zero timeout", "nan timeout", "inf timeout"])
+        ({"endpoint": "x"}, "endpoint must be an http:// or https:// URL, got 'x'"),
+        ({"max_tokens": -5}, "max_tokens must be >= 1, got -5"),
+    ], ids=["nan temperature", "inf temperature", "zero timeout", "nan timeout", "inf timeout",
+            "endpoint without a scheme", "negative max_tokens"])
     def test_eval_with_a_remote_config_out_of_range(self, games, capsys, edit, error):
         # json writes and reads NaN and Infinity, so a config file can hold them
         config = {"endpoint": "http://127.0.0.1:1", "model": "m", **edit}

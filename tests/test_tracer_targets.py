@@ -3,14 +3,16 @@ that moves or renames one of them breaks ``perfbench/run.py --trace 1``.
 This checks every name it patches, and the kernel call ``perfbench/run.py``
 makes, against the package as it is, and that a traced evaluation still
 passes through every traced name once per game or per response: a faster
-path that routes around one would hide its calls from the benchmark."""
+path that routes around one would hide its calls from the benchmark. The
+block agent answers each distinct block once, so a traced padding
+experiment counts one LP and one parse per distinct block, not per game."""
 
 import importlib.util
 import os
 from collections import Counter
 
 from zerosum import _kernels, harness
-from zerosum.agents import NoisyOracleAgent
+from zerosum.agents import BlockSolverAgent, NoisyOracleAgent
 from zerosum.gen import make_eval_set
 
 TRACING = os.path.join(
@@ -55,3 +57,36 @@ def test_a_traced_evaluation_reaches_every_layer_once_per_call():
         "core.exploitability", "kernels.exploit_terms")} == {
         "solver.lp": 6, "kernels.lp_kernel": 6, "agents.propose": 6, "agents.parse": 12,
         "core.exploitability": distinct, "kernels.exploit_terms": 6 + distinct}
+
+
+class _RecordingBlockAgent(BlockSolverAgent):
+    """The block agent, keeping every game it is asked about."""
+
+    def __init__(self, block_n):
+        super().__init__(block_n)
+        self.games = []
+
+    def propose(self, game, k):
+        self.games.append(game)
+        return super().propose(game, k)
+
+
+def test_a_traced_padding_experiment_solves_and_parses_each_block_once():
+    base_n, targets, count = 2, (4, 6), 3
+    agent = _RecordingBlockAgent(2)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        harness.padding_cliff_experiment(agent, base_n=base_n, targets=targets, count=count,
+                                         k=2, seed=1)
+    finally:
+        tracer.uninstall()
+    calls = Counter(span[0] for span in tracer.spans)
+    blocks = {g.matrix.entries[:2, :2].tobytes() for g in agent.games}
+    answers = {(g.n, g.matrix.entries[:2, :2].tobytes()) for g in agent.games}
+    # a dominated pad and a random pad of one base share their top-left block
+    assert len(blocks) < len(answers) < len(agent.games) == count * (1 + 3 * len(targets))
+    base_solves, padded_checks = count, count * len(targets)
+    assert {name: calls[name] for name in ("solver.lp", "agents.propose", "agents.parse")} == {
+        "solver.lp": base_solves + padded_checks + len(blocks),
+        "agents.propose": len(agent.games), "agents.parse": len(answers)}

@@ -14,14 +14,21 @@ Support enumeration is an independent oracle for n <= 5: it scans
 equal-size support pairs in documented order (size ascending, then
 lexicographic row support, then lexicographic column support), solves the
 equalization systems, and returns the first candidate whose best-response
-certificate passes. It works on one support size k at a time: every
-k x k block is gathered with one fancy index, the bordered systems of each
-side are solved in one stacked np.linalg.solve, and the survivors are
-certified in one batched exploit pass. A system counts as singular when
-np.linalg.slogdet gives sign 0, the exact-zero LU pivot on which a single
-np.linalg.solve raises, so the scan returns bit for bit what solving one
-candidate at a time returns. The two routes share no solver code, so they
-can cross-check each other.
+certificate passes. Size 1, the pure saddle points, is certified in closed
+form: the candidate (e_i, e_j) passes when (colmax_j - a_ij)^+ +
+(a_ij - rowmin_i)^+ <= 1e-8, and the first such cell in row-major order is
+returned. That is exact, not a shortcut: a 1 x 1 bordered system always
+has determinant 1 and its one weight normalizes to exactly 1.0, and for a
+one-hot pair the certificate's sorted sums add only signed zeros to a
+single entry, so they equal colmax_j, rowmin_i and a_ij as values and the
+same subtractions decide. From k = 2 the scan works on one support size at
+a time: every k x k block is gathered with one fancy index, the bordered
+systems of each side are solved in one stacked np.linalg.solve, and the
+survivors are certified in one batched exploit pass. A system counts as
+singular when np.linalg.slogdet gives sign 0, the exact-zero LU pivot on
+which a single np.linalg.solve raises, so the scan returns bit for bit
+what solving one candidate at a time returns. The two routes share no
+solver code, so they can cross-check each other.
 """
 
 from __future__ import annotations
@@ -77,11 +84,13 @@ def solve_zero_sum_lp(matrix: PayoffMatrix) -> Equilibrium:
         raise SolverError("simplex reported an unbounded LP on a shifted game", instance=a)
     y = np.maximum(y, 0.0)
     duals = np.maximum(duals, 0.0)
-    if y.sum() <= 0.0 or duals.sum() <= 0.0:
+    y_mass = y.sum()
+    dual_mass = duals.sum()
+    if y_mass <= 0.0 or dual_mass <= 0.0:
         raise SolverError("simplex returned an empty strategy", instance=a)
     pair = StrategyPair(
-        row=MixedStrategy(duals / duals.sum()),
-        col=MixedStrategy(y / y.sum()),
+        row=MixedStrategy(duals / dual_mass),
+        col=MixedStrategy(y / y_mass),
     )
     value = 1.0 / obj - shift
     row_regret, col_regret, pay = regrets(matrix, pair)
@@ -150,10 +159,12 @@ def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
     For supports (R, C) with |R| = |C| = k the column weights equalize the
     row payoffs on R and vice versa; a candidate is returned only after the
     full best-response certificate passes at 1e-8, which also certifies
-    that the two equalization values agree. Each support size k is handled
-    in one stacked pass, and the first passing candidate in scan order is
-    returned, with its 1-based scan position as ``iterations``. A candidate
-    whose strategy MixedStrategy rejects stops the scan with that error.
+    that the two equalization values agree. Size 1 is certified in closed
+    form from the column maxima and row minima (see the module docstring);
+    from k = 2 each support size is handled in one stacked pass. The first
+    passing candidate in scan order is returned, with its 1-based scan
+    position as ``iterations``. A candidate whose strategy MixedStrategy
+    rejects stops the scan with that error.
     """
     n = matrix.n
     if n > SUPPORT_ENUM_MAX_N:
@@ -161,8 +172,26 @@ def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
             f"support enumeration is exponential; bounded at n <= {SUPPORT_ENUM_MAX_N}"
         )
     a = matrix.entries
-    examined = 0
-    for k in range(1, n + 1):
+    # k = 1 in closed form: the candidate (e_i, e_j) has residual
+    # (colmax_j - a_ij)^+ + (a_ij - rowmin_i)^+, the batched certificate's
+    # subtractions on the values its sorted sums give for a one-hot pair
+    resid = np.fmax(0.0, a.max(axis=0) - a) + np.fmax(0.0, a - a.min(axis=1)[:, None])
+    saddle = np.flatnonzero(resid <= CERT_TOL)
+    if len(saddle):
+        first = int(saddle[0])
+        i, j = divmod(first, n)
+        row = MixedStrategy.one_hot(n, i)
+        col = MixedStrategy.one_hot(n, j)
+        value = exploit_terms_batch(a, row.probs, col.probs)[2]
+        return Equilibrium(
+            value=float(value),
+            pair=StrategyPair(row=row, col=col),
+            method="support_enum",
+            iterations=first + 1,
+            degenerate=False,
+        )
+    examined = n * n
+    for k in range(2, n + 1):
         rows, cols = _support_pairs(n, k)
         blocks = a[rows[:, :, None], cols[:, None, :]]
         # the row side is solved only where the column side is a strategy

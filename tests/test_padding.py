@@ -17,9 +17,12 @@ from zerosum import (
     raw_exploit,
     sample_game,
     solve_zero_sum_lp,
+    support_enumeration,
     uniform_pair,
 )
 from zerosum.core import canonical_json
+from zerosum.gen import DISTRIBUTIONS
+from zerosum.solver import CERT_TOL
 
 
 def base_game(seed=0, n=3):
@@ -87,6 +90,29 @@ class TestDominatedPad:
         plain = dominated_pad(base, 8, shuffle=False)
         assert plain.row_map == (0, 1, 2)
         assert rec.id != plain.id
+
+    def test_value_and_certificate_preserved_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(
+            st.sampled_from((2, 3)),
+            st.sampled_from(DISTRIBUTIONS),
+            st.integers(0, 2 ** 64 - 1),
+            st.integers(4, 5),
+            st.booleans(),
+        )
+        def check(n, distribution, seed, target, shuffle):
+            base = sample_game(GameSpec(n=n, distribution=distribution, seed=seed))
+            base_value = solve_zero_sum_lp(base.matrix).value
+            rec = dominated_pad(base, target, shuffle=shuffle)
+            # support enumeration shares no code with the LP that built the record
+            assert raw_exploit(rec.padded, rec.reference_pair) <= CERT_TOL
+            assert abs(support_enumeration(rec.padded).value - base_value) <= CERT_TOL
+            assert abs(rec.certificate["padded_value"] - base_value) <= CERT_TOL
+
+        check()
 
     def test_rejects_non_growing_target(self):
         base = base_game(seed=0)

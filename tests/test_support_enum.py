@@ -1,6 +1,7 @@
-"""Support enumeration scans one support size at a time in stacked numpy
-passes. It must return bit for bit what a scan of one candidate at a time
-returns: value, iterations, strategy bytes, and the same error type.
+"""Support enumeration certifies pure saddle points in closed form and
+scans each larger support size in stacked numpy passes. It must return bit
+for bit what a scan of one candidate at a time returns: value, iterations,
+strategy bytes, and the same error type.
 
 ``_reference_support_enumeration`` below is that one-at-a-time scan, kept
 as the reference."""
@@ -144,6 +145,68 @@ def test_batched_scan_matches_reference_on_singular_and_degenerate_games():
 def test_batched_scan_matches_reference_on_dominated_pads():
     for matrix in _dominated_pads():
         _assert_same(matrix)
+
+
+def test_batched_scan_matches_reference_on_the_benchmark_corpus():
+    # the games solve_corpus cross-checks: integer, n = 2..4, 40 per size
+    for seed in (1, 20261017):
+        pure = total = 0
+        for n in range(2, 5):
+            for i in range(40):
+                spec = GameSpec(n=n, distribution="integer", seed=child_seed(seed, n, i))
+                _, iterations, _, _ = _assert_same(sample_game(spec).matrix)
+                pure += iterations <= n * n
+                total += 1
+        assert 3 * pure >= total, (seed, pure)
+
+
+@pytest.mark.parametrize("entries, cell", [
+    # value 1 at the product of rows {0, 2} and columns {1, 2}
+    ([[2.0, 1.0, 1.0], [0.0, 1.0, 1.0], [3.0, 1.0, 1.0]], (0, 1)),
+    # rows {1, 2} and columns {0, 2}: the first saddle is not in row 0
+    ([[-5.0, -1.0, -5.0], [0.0, 4.0, 0.0], [0.0, 7.0, 0.0]], (1, 0)),
+    ([[3.0] * 4] * 4, (0, 0)),
+    # a saddle 5e-9 from exact still certifies at 1e-8
+    ([[1.0, 2.0], [1.0 + 5e-9, 0.0]], (0, 0)),
+    # ... and wins over the exact saddle at (1, 1) that follows it
+    ([[2.0, 1.0 - 5e-9, 3.0], [2.0, 1.0, 3.0], [-1.0, 0.0, -2.0]], (0, 1)),
+    # a cell's residual is colmax_j - rowmin_i, so within the tolerance the
+    # certified cells need not form a rectangle: (0, 2) and (1, 0) certify
+    # at 9e-9 but (0, 0) does not, and column-major order would pick (1, 0)
+    ([[1e-9, 1.0, 0.0], [1.5e-8, 1.0, 6e-9], [-1.0, 2.0, 9e-9]], (0, 2)),
+])
+def test_the_first_saddle_in_row_major_order_wins(entries, cell):
+    matrix = PayoffMatrix(np.array(entries))
+    _, iterations, row, col = _assert_same(matrix)
+    n = matrix.n
+    i, j = cell
+    assert iterations == i * n + j + 1
+    assert row == MixedStrategy.one_hot(n, i).probs.tobytes()
+    assert col == MixedStrategy.one_hot(n, j).probs.tobytes()
+
+
+@pytest.mark.parametrize("miss", [1.1e-8, 2e-8])
+def test_a_saddle_missed_by_more_than_the_tolerance_is_not_certified(miss):
+    matrix = PayoffMatrix(np.array([[1.0, 2.0], [1.0 + miss, 0.0]]))
+    _, iterations, _, _ = _assert_same(matrix)
+    assert iterations > matrix.n ** 2
+
+
+def test_a_pure_saddle_solves_no_equalization_system(monkeypatch):
+    calls = []
+    equalize = solver._equalize
+
+    def counting(*args):
+        calls.append(args[1].shape[1])
+        return equalize(*args)
+
+    monkeypatch.setattr(solver, "_equalize", counting)
+    saddle = PayoffMatrix(np.array([[2.0, 1.0, 1.0], [0.0, 1.0, 1.0], [3.0, 1.0, 1.0]]))
+    assert solver.support_enumeration(saddle).iterations == 2
+    assert calls == []
+    matching_pennies = PayoffMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert solver.support_enumeration(matching_pennies).iterations == 5
+    assert calls == [2, 2]
 
 
 def test_batched_scan_stops_on_the_same_rejected_strategy(monkeypatch):

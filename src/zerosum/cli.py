@@ -5,8 +5,8 @@ train-toy, report. Each command's options are declared once, as rows of the
 `_COMMANDS` table (key, cast, default, required, help); the parser, the help
 text, the config-file merge and the recorded config are all built from it.
 Each command accepts --config FILE holding key=value lines whose keys mirror
-the long flags; explicit flags win over config values, and config values win
-over defaults.
+the long flags (a key that names no option of the command exits 2); explicit
+flags win over config values, and config values win over defaults.
 
 Commands with randomness (gen, audit, pad-exp, verify-theorems, train-toy,
 and eval with a stochastic agent) require a seed, from the flag or config.
@@ -131,7 +131,7 @@ def _as_bool(value, key):
     raise ConfigError(f"{key} must be a boolean, got {value!r}")
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, keys) -> dict:
     out = {}
     try:
         with open(path) as fh:
@@ -142,7 +142,10 @@ def _read_config(path: str) -> dict:
                 if "=" not in text:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
                 key, _, value = text.partition("=")
-                out[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key not in keys:
+                    raise ConfigError(f"{path}:{lineno}: {key!r} names no option of this command")
+                out[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return out
@@ -155,7 +158,7 @@ def _flag(key: str) -> str:
 def _resolve(args: argparse.Namespace, options) -> dict:
     """Each option from its flag, else the config file, else its default;
     then the required check and the cast, in table order."""
-    config = _read_config(args.config) if args.config else {}
+    config = _read_config(args.config, [key for key, *_ in options]) if args.config else {}
     cfg = {}
     for key, cast, default, required, _ in options:
         value = getattr(args, key)
@@ -373,6 +376,8 @@ def _check_transport(agent) -> None:
 
 def cmd_eval(cfg: dict) -> int:
     src, tau, rescore_path = cfg["in"], cfg["tau"], cfg["rescore"]
+    if cfg["audit_log"] and (rescore_path or cfg["agent"].partition(":")[0] != "remote"):
+        raise ConfigError("--audit-log applies only to a run that asks a remote agent")
     games = _load_records(src)
     dists = {g.spec.distribution for g in games if isinstance(g, GameRecord)}
     dist_label = dists.pop() if len(dists) == 1 else ""
@@ -467,6 +472,8 @@ def cmd_verify_theorems(cfg: dict) -> int:
 
 def cmd_train_toy(cfg: dict) -> int:
     mode, src, index = cfg["mode"], cfg["in"], cfg["index"]
+    if not src and index != 0:
+        raise ConfigError("--index applies only to a record of --in")
     if src:
         records = _load_records(src)
         if not 0 <= index < len(records):
@@ -523,6 +530,8 @@ def _padexp_table(report: PaddingCliffReport) -> str:
 
 def cmd_report(cfg: dict) -> int:
     paths = [p.strip() for p in str(cfg["in"]).split(",") if p.strip()]
+    if not paths:
+        raise ConfigError(f"--in names no result file: {cfg['in']!r}")
     eval_rows = []
     blocks = []
     for path in paths:

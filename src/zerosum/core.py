@@ -81,28 +81,30 @@ def _check_items(name: str, values: tuple, want) -> None:
 
 
 def field_dict(obj) -> dict:
-    """A dataclass's JSON form: each field by name, shallow.
+    """A dataclass's JSON form: its class's schema tag, if any, then each field by name, shallow.
 
     A field value with a ``to_json_dict`` is replaced by its JSON form; any
     other value is kept as it is (json writes a tuple as an array).
     """
-    out = {}
+    schema = getattr(type(obj), "schema", None)
+    out = {} if schema is None else {"schema": schema}
     for name, _, _ in _json_fields(type(obj)):
         value = getattr(obj, name)
         out[name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
     return out
 
 
-def from_fields(cls, d, schema: str | None = None, **readers):
+def from_fields(cls, d, **readers):
     """Build dataclass cls from its JSON form d, the inverse of field_dict.
 
-    When schema is given, d must carry it as its "schema" tag. ``readers``
+    When cls declares a schema, d must carry it as its "schema" tag. ``readers``
     maps a field name to the reader of that field's JSON form; every other
     JSON array becomes a tuple. A missing, unknown or wrongly typed key, or
     a wrongly typed item of a "tuple[T, ...]" field, raises ContractViolation.
     """
     if not isinstance(d, dict):
         raise ContractViolation(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    schema = getattr(cls, "schema", None)
     if schema is not None:
         if d.get("schema") != schema:
             raise ContractViolation(f"expected schema {schema}, got {d.get('schema')!r}")
@@ -149,8 +151,8 @@ def _float_array(values, what: str) -> np.ndarray:
     return arr
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
 

@@ -26,8 +26,8 @@ as written:
 
 - a game record is rebuilt from its ``spec`` and ``raw.entries``;
 - a padded record from its ``base`` (read as a game record), ``kind`` and
-  ``padded.n``, with one LP solve of the base passed to the pad as
-  ``base_eq``. The shuffle flag is not stored: when both maps are the
+  ``padded.n``; every candidate pad reads the base record's one cached LP
+  solution. The shuffle flag is not stored: when both maps are the
   identity prefix [0..k-1] the unshuffled dominated pad is tried first and
   the shuffled one second (a shuffle can leave both maps the identity);
   otherwise only the shuffled one.
@@ -35,6 +35,7 @@ as written:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,8 +107,13 @@ class GameRecord:
     def n(self) -> int:
         return self.spec.n
 
-    def to_json_dict(self) -> dict:
-        return {"schema": self.schema, **field_dict(self)}
+    @functools.cached_property
+    def equilibrium(self) -> Equilibrium:
+        """The LP solution of matrix, solved once on first use: the record is
+        immutable and the LP selector a fixed function of its matrix."""
+        return solve_zero_sum_lp(self.matrix)
+
+    to_json_dict = field_dict
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GameRecord":
@@ -213,7 +219,7 @@ class PaddedGameRecord:
     def to_json_dict(self) -> dict:
         # the maps as lists, so that the form equals its JSON text read back;
         # the certificate copied, so that editing the form leaves the record
-        return {"schema": self.schema, **field_dict(self), "certificate": dict(self.certificate),
+        return {**field_dict(self), "certificate": dict(self.certificate),
                 "row_map": list(self.row_map), "col_map": list(self.col_map)}
 
     @classmethod
@@ -232,11 +238,10 @@ class PaddedGameRecord:
         if type(target_n) is not int:
             raise ContractViolation(
                 f"padded record {d.get('id')}: padded n {target_n!r} is not an int")
-        base_eq = solve_zero_sum_lp(base.matrix)
         if kind == "random":
-            rebuilt = (random_pad(base, target_n, base_eq=base_eq),)
+            rebuilt = (random_pad(base, target_n),)
         else:
-            rebuilt = (dominated_pad(base, target_n, shuffle, base_eq=base_eq)
+            rebuilt = (dominated_pad(base, target_n, shuffle)
                        for shuffle in ((False, True) if identity else (True,)))
         return _rebuilt("padded record", d, rebuilt)
 
@@ -250,25 +255,22 @@ def _pad_base_n(base: GameRecord, target_n: int) -> int:
     return base.n
 
 
-def _padded_record(
-    base: GameRecord, padded: np.ndarray, kind: str, row_map, col_map,
-    base_eq: Equilibrium | None,
-) -> PaddedGameRecord:
+def _padded_record(base: GameRecord, padded: np.ndarray, kind: str,
+                   row_map, col_map) -> PaddedGameRecord:
     """The record of padded entries that hold base at (row_map, col_map).
 
-    The reference pair is base_eq's pair zero-extended to the padded size;
-    the certificate holds base_eq's value and the reference pair's raw
-    exploitability on the padded game. base_eq is solved when not given.
+    The reference pair is base.equilibrium's pair zero-extended to the
+    padded size; the certificate holds that solution's value and the
+    reference pair's raw exploitability on the padded game.
     """
-    if base_eq is None:
-        base_eq = solve_zero_sum_lp(base.matrix)
+    eq = base.equilibrium
     matrix = PayoffMatrix(padded, meta=replace(base.matrix.meta, normalized=False))
     row_map = tuple(int(i) for i in row_map)
     col_map = tuple(int(j) for j in col_map)
     row = np.zeros(matrix.n)
-    row[list(row_map)] = base_eq.pair.row.probs
+    row[list(row_map)] = eq.pair.row.probs
     col = np.zeros(matrix.n)
-    col[list(col_map)] = base_eq.pair.col.probs
+    col[list(col_map)] = eq.pair.col.probs
     reference = StrategyPair(row=MixedStrategy(row), col=MixedStrategy(col))
     return PaddedGameRecord(
         base=base,
@@ -277,15 +279,13 @@ def _padded_record(
         row_map=row_map,
         col_map=col_map,
         reference_pair=reference,
-        certificate={"base_value": base_eq.value,
+        certificate={"base_value": eq.value,
                      "reference_exploit": raw_exploit(matrix, reference)},
         id=content_digest({"kind": kind, "base": base.id, "padded": padded.tolist()}),
     )
 
 
-def dominated_pad(
-    base: GameRecord, target_n: int, shuffle: bool = False, *, base_eq: Equilibrium | None = None
-) -> PaddedGameRecord:
+def dominated_pad(base: GameRecord, target_n: int, shuffle: bool = False) -> PaddedGameRecord:
     """Pad with strictly dominated actions; the equilibrium is preserved.
 
     New rows sit strictly below the base minimum (base_min - u) everywhere,
@@ -294,10 +294,8 @@ def dominated_pad(
     on {1..5} per entry. Draw order: the new-column block (k x (N-k)), then
     the new-row block ((N-k) x N), then, when shuffle is set, the row and
     column position permutations. Every record is re-verified: the
-    zero-extended base equilibrium must certify on the padded game and the
-    padded LP value must match the base LP value at 1e-8, else
-    ConstructionError. ``base_eq`` is the base game's LP solution; it is
-    solved here when not given.
+    zero-extended ``base.equilibrium`` must certify on the padded game and
+    the padded LP value must match its value at 1e-8, else ConstructionError.
     """
     k = _pad_base_n(base, target_n)
     rng = generator(child_seed(base.spec.seed, _DOMINATED_TAG, target_n))
@@ -317,7 +315,7 @@ def dominated_pad(
         shuffled = np.empty_like(padded)
         shuffled[np.ix_(row_pos, col_pos)] = padded
         padded = shuffled
-    rec = _padded_record(base, padded, "dominated", row_pos[:k], col_pos[:k], base_eq)
+    rec = _padded_record(base, padded, "dominated", row_pos[:k], col_pos[:k])
     cert = rec.certificate
     padded_eq = solve_zero_sum_lp(rec.padded)
     value_gap = abs(padded_eq.value - cert["base_value"])
@@ -330,18 +328,15 @@ def dominated_pad(
     return replace(rec, certificate={**cert, "padded_value": padded_eq.value})
 
 
-def random_pad(
-    base: GameRecord, target_n: int, *, base_eq: Equilibrium | None = None
-) -> PaddedGameRecord:
+def random_pad(base: GameRecord, target_n: int) -> PaddedGameRecord:
     """Negative control: same base block, random surround, no preservation.
 
     The base block occupies the top-left k x k corner; every other entry is
     drawn from the base spec's distribution (one full (N, N) block is drawn
     and the corner overwritten, so the surround is a fixed function of the
-    stream). The reference pair is still the zero-extended base equilibrium,
-    but nothing certifies it here; its exploitability on the padded game is
-    recorded in the certificate for inspection. ``base_eq`` is the base
-    game's LP solution; it is solved here when not given.
+    stream). The reference pair is still the zero-extended
+    ``base.equilibrium``, but nothing certifies it here; its exploitability
+    on the padded game is recorded in the certificate for inspection.
     """
     k = _pad_base_n(base, target_n)
     surround_spec = replace(
@@ -352,4 +347,4 @@ def random_pad(
     )
     padded = _draw_raw(surround_spec)
     padded[:k, :k] = base.matrix.entries
-    return _padded_record(base, padded, "random", range(k), range(k), base_eq)
+    return _padded_record(base, padded, "random", range(k), range(k))

@@ -13,7 +13,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from . import solver
 from .agents import parse_response
 from .core import (
     apply_affine,
@@ -83,12 +82,11 @@ class EvalResult:
     games: tuple[GameResult, ...] = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
-        return {"schema": self.schema, **field_dict(self),
-                "games": [g.to_json_dict() for g in self.games]}
+        return {**field_dict(self), "games": [g.to_json_dict() for g in self.games]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EvalResult":
-        return from_fields(cls, d, cls.schema,
+        return from_fields(cls, d,
                            games=lambda gs: tuple(GameResult.from_json_dict(g) for g in gs))
 
 
@@ -350,12 +348,11 @@ class PaddingCliffReport:
     rows: tuple[CliffRow, ...]
 
     def to_json_dict(self) -> dict:
-        return {"schema": self.schema, **field_dict(self),
-                "rows": [r.to_json_dict() for r in self.rows]}
+        return {**field_dict(self), "rows": [r.to_json_dict() for r in self.rows]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PaddingCliffReport":
-        return from_fields(cls, d, cls.schema,
+        return from_fields(cls, d,
                            rows=lambda rs: tuple(CliffRow.from_json_dict(r) for r in rs))
 
     def curve(self, condition: str) -> list[tuple[int, float]]:
@@ -388,15 +385,13 @@ def padding_cliff_experiment(
         return sample_game(GameSpec(n=n, distribution="integer", seed=child_seed(seed, *parts)))
 
     bases = [draw(base_n, 1, i) for i in range(count)]
-    # looked up on the module, where perfbench's tracer counts LP solves
-    base_eqs = [solver.solve_zero_sum_lp(b.matrix) for b in bases]
     base_res = evaluate(agent, bases, k=k, tau=tau, jobs=jobs,
                         condition="base", distribution="integer")
     rows = [CliffRow.of(cond, base_n, base_res) for cond in ("dense", "dominated", "random")]
     for t in targets:
         dense = [draw(t, 2, t, i) for i in range(count)]
-        dom = [dominated_pad(b, t, base_eq=eq) for b, eq in zip(bases, base_eqs)]
-        rand = [random_pad(b, t, base_eq=eq) for b, eq in zip(bases, base_eqs)]
+        dom = [dominated_pad(b, t) for b in bases]
+        rand = [random_pad(b, t) for b in bases]
         for cond, games in (("dense", dense), ("dominated", dom), ("random", rand)):
             res = evaluate(agent, games, k=k, tau=tau, jobs=jobs,
                            condition=cond, distribution="integer")

@@ -61,7 +61,6 @@ class Equilibrium:
 
     value: float
     pair: StrategyPair
-    method: str
     iterations: int
     degenerate: bool
 
@@ -101,9 +100,7 @@ def solve_zero_sum_lp(matrix: PayoffMatrix) -> Equilibrium:
         raise SolverError(
             f"LP value {value!r} disagrees with realized payoff {pay!r}", instance=a
         )
-    return Equilibrium(
-        value=value, pair=pair, method="lp", iterations=iters, degenerate=degenerate
-    )
+    return Equilibrium(value=value, pair=pair, iterations=iters, degenerate=degenerate)
 
 
 @cache
@@ -186,7 +183,6 @@ def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
         return Equilibrium(
             value=float(value),
             pair=StrategyPair(row=row, col=col),
-            method="support_enum",
             iterations=first + 1,
             degenerate=False,
         )
@@ -216,7 +212,6 @@ def support_enumeration(matrix: PayoffMatrix) -> Equilibrium:
         return Equilibrium(
             value=float(values[np.searchsorted(both, first)]),
             pair=StrategyPair(row=row, col=col),
-            method="support_enum",
             iterations=examined + first + 1,
             degenerate=False,
         )

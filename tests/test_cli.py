@@ -728,3 +728,44 @@ class TestMalformedInput:
         assert not (games / "p.jsonl").exists()
         assert cli_main("pad", "--in", "g.jsonl", "--kind", "random", "--target-n", 5,
                         "--shuffle", "false", "--out", "p.jsonl") == 0
+
+    @pytest.mark.parametrize("line, key", [
+        ("cout=50", "'cout'"),
+        ("target-n=5", "'target_n'"),
+        ("config=other.cfg", "'config'"),
+    ], ids=["typo", "another command's option", "config"])
+    def test_config_key_that_names_no_option(self, games, capsys, line, key):
+        # a misspelt count once left the default of 100 games in force
+        (games / "c.cfg").write_text(f"n=3\nseed=1\n{line}\n")
+        assert cli_main("gen", "--config", "c.cfg", "--out", "x.jsonl") == 2
+        assert f"c.cfg:3: {key} names no option of this command" in capsys.readouterr().err
+        assert not (games / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("paths", [",", " , "])
+    def test_report_without_a_result_path(self, games, capsys, paths):
+        assert cli_main("report", "--in", paths, "--out", "r.md") == 2
+        assert f"--in names no result file: {paths!r}" in capsys.readouterr().err
+        assert not (games / "r.md").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--agent", "uniform"],
+        ["--agent", "noisy:0.3", "--seed", 1],
+        ["--agent", "uniform", "--rescore", "r.json"],
+    ], ids=["uniform", "noisy", "rescore"])
+    def test_audit_log_without_a_remote_agent(self, games, capsys, argv):
+        # the log is written by a remote agent only, so the path would be recorded unused
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform", "--out", "r.json") == 0
+        capsys.readouterr()
+        assert cli_main("eval", "--in", "g.jsonl", *argv, "--audit-log", "log.jsonl",
+                        "--out", "s.json") == 2
+        assert "--audit-log applies only to a run that asks a remote agent" in \
+            capsys.readouterr().err
+        assert not any((games / name).exists() for name in ("log.jsonl", "s.json"))
+
+    def test_train_toy_index_without_records(self, games, capsys):
+        assert cli_main("train-toy", "--steps", 2, "--seed", 1, "--index", 1,
+                        "--out", "t.json") == 2
+        assert "--index applies only to a record of --in" in capsys.readouterr().err
+        assert not (games / "t.json").exists()
+        assert cli_main("train-toy", "--steps", 2, "--seed", 1, "--index", 0,
+                        "--out", "t.json") == 0

@@ -2,6 +2,7 @@
 equilibrium, random surrounds must not."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from zerosum import (
     support_enumeration,
     uniform_pair,
 )
+from zerosum import gen
 from zerosum.core import canonical_json
 from zerosum.gen import DISTRIBUTIONS
 from zerosum.solver import CERT_TOL
@@ -128,9 +130,9 @@ class TestDominatedPad:
     def test_wrong_base_solution_fails_verification(self, wrong):
         base = base_game(seed=4)
         padded = dominated_pad(base, 8, shuffle=True).padded.entries
-        eq = solve_zero_sum_lp(base.matrix)
+        vars(base)["equilibrium"] = wrong(base.equilibrium)  # seed the record's cache
         with pytest.raises(ConstructionError) as info:
-            dominated_pad(base, 8, shuffle=True, base_eq=wrong(eq))
+            dominated_pad(base, 8, shuffle=True)
         assert np.array_equal(info.value.instance, padded)
 
 
@@ -184,16 +186,53 @@ def test_rejects_a_target_above_the_size_limit(pad, target):
         pad(base_game(seed=0), target)
 
 
-def test_given_base_solution_gives_the_same_record():
-    for seed in range(4):
-        base = base_game(seed=seed, n=2 + seed % 2)
-        eq = solve_zero_sum_lp(base.matrix)
-        for rec, given in (
-            (dominated_pad(base, 7, shuffle=True),
-             dominated_pad(base, 7, shuffle=True, base_eq=eq)),
-            (random_pad(base, 7), random_pad(base, 7, base_eq=eq)),
-        ):
-            assert canonical_json(given.to_json_dict()) == canonical_json(rec.to_json_dict())
+class TestBaseSolution:
+    """A game record solves its own LP once, on first use, and every pad of it
+    reads that solution. Solves are counted by matrix size where the record
+    looks them up, on the gen module."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        sizes = Counter()
+        solve = gen.solve_zero_sum_lp
+
+        def counted(matrix):
+            sizes[matrix.n] += 1
+            return solve(matrix)
+
+        monkeypatch.setattr(gen, "solve_zero_sum_lp", counted)
+        return sizes
+
+    def test_is_the_lp_solution_of_the_matrix(self, solves):
+        base = base_game(seed=3)
+        eq = base.equilibrium
+        assert base.equilibrium is eq
+        lp = solve_zero_sum_lp(base.matrix)
+        assert (eq.value, eq.iterations, eq.degenerate) == (lp.value, lp.iterations, lp.degenerate)
+        assert np.array_equal(eq.pair.row.probs, lp.pair.row.probs)
+        assert np.array_equal(eq.pair.col.probs, lp.pair.col.probs)
+        assert solves == {3: 1}
+
+    def test_padding_one_base_at_several_sizes_solves_it_once(self, solves):
+        base = base_game(seed=2)
+        for target in (5, 7, 9):
+            dominated_pad(base, target)
+            dominated_pad(base, target, shuffle=True)
+            random_pad(base, target)
+        # each dominated pad still solves its padded game once, to check the value
+        assert solves == {3: 1, 5: 2, 7: 2, 9: 2}
+
+    def test_reading_a_dominated_record_solves_its_base_once(self, solves):
+        # shuffled, yet both maps are the identity: the reader tries two pads
+        rec = dominated_pad(sample_game(GameSpec(n=2, seed=394)), 4, shuffle=True)
+        assert rec.row_map == rec.col_map == (0, 1)
+        d = json.loads(canonical_json(rec.to_json_dict()))
+        solves.clear()
+        back = PaddedGameRecord.from_json_dict(d)
+        assert back.id == rec.id
+        assert solves == {2: 1, 4: 2}
+        dominated_pad(back.base, 6)
+        assert solves == {2: 1, 4: 2, 6: 1}
 
 
 class TestPaddedSerialization:

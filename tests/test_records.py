@@ -7,6 +7,7 @@ pin, and with it the bytes that `eval --rescore` must reproduce."""
 
 import hashlib
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -32,7 +33,7 @@ from zerosum import (
     selector_discontinuity_demo,
     serialize_pair,
 )
-from zerosum.core import canonical_json
+from zerosum.core import canonical_json, field_dict, from_fields
 from zerosum.solver import uniform_pair
 
 
@@ -185,3 +186,19 @@ def test_reader_checks_an_optional_field_as_its_type_or_null(records):
     for index in ("0", True, 0.0, [0]):
         with pytest.raises(ContractViolation, match="best_sample_index has the wrong type"):
             GameResult.from_json_dict({**game, "best_sample_index": index})
+
+
+@dataclass(frozen=True)
+class _Tagged:
+    schema = "tagged/1"
+
+    x: "int"
+
+
+def test_the_schema_tag_is_read_from_the_class():
+    assert list(field_dict(_Tagged(1)).items()) == [("schema", "tagged/1"), ("x", 1)]
+    assert "schema" not in field_dict(GameSpec(n=3))
+    assert from_fields(_Tagged, {"schema": "tagged/1", "x": 1}) == _Tagged(1)
+    for d in ({"x": 1}, {"schema": "tagged/2", "x": 1}):
+        with pytest.raises(ContractViolation, match="expected schema tagged/1"):
+            from_fields(_Tagged, d)

@@ -133,6 +133,7 @@ def _as_bool(value, key):
 
 def _read_config(path: str, keys) -> dict:
     out = {}
+    lines = {}  # key -> the line that set it
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -145,6 +146,9 @@ def _read_config(path: str, keys) -> dict:
                 key = key.strip().replace("-", "_")
                 if key not in keys:
                     raise ConfigError(f"{path}:{lineno}: {key!r} names no option of this command")
+                if key in lines:
+                    raise ConfigError(f"{path}:{lineno}: {key!r} repeats line {lines[key]}")
+                lines[key] = lineno
                 out[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -383,9 +387,9 @@ def cmd_eval(cfg: dict) -> int:
     dist_label = dists.pop() if len(dists) == 1 else ""
     if rescore_path:
         prior = EvalResult.from_json_dict(_read_json(rescore_path))
-        payload = rescore(prior, games).to_json_dict()
-        _emit("eval", cfg, [src, rescore_path], payload)
-        if payload != prior.to_json_dict():
+        again = rescore(prior, games)
+        _emit("eval", cfg, [src, rescore_path], again.to_json_dict())
+        if again != prior:  # field by field, as their JSON forms would compare
             raise VerificationError("rescore does not reproduce the stored result")
         print("rescore reproduced the stored result exactly")
         return 0
@@ -490,7 +494,6 @@ def cmd_train_toy(cfg: dict) -> int:
         "game_id": game.id,
         **field_dict(result),
         "converged": result.converged,
-        "trace": [field_dict(t) for t in result.trace],
     }
     del payload["initial_logits"]  # not part of the traintoy/1 format
     _emit("train-toy", cfg, [src] if src else [], payload)
@@ -532,23 +535,29 @@ def cmd_report(cfg: dict) -> int:
     paths = [p.strip() for p in str(cfg["in"]).split(",") if p.strip()]
     if not paths:
         raise ConfigError(f"--in names no result file: {cfg['in']!r}")
-    eval_rows = []
+    eval_rows = []  # (path, eval result)
     blocks = []
     for path in paths:
         payload = _read_json(path)
         schema = _schema(payload)
         if schema == EvalResult.schema:
-            eval_rows.append(EvalResult.from_json_dict(payload))
+            res = EvalResult.from_json_dict(payload)
+            for seen, prior in eval_rows:
+                if (prior.agent, prior.n) == (res.agent, res.n):
+                    raise ConfigError(f"{seen} and {path} both report {res.agent!r} at n={res.n}")
+                if prior.tau != res.tau:
+                    raise ConfigError(f"{seen} has tau {prior.tau!r}, {path} tau {res.tau!r}")
+            eval_rows.append((path, res))
         elif schema == PaddingCliffReport.schema:
             blocks.append(_padexp_table(PaddingCliffReport.from_json_dict(payload)))
         else:
             raise ConfigError(f"{path}: cannot report on schema {schema!r}")
     if eval_rows:
         blocks.insert(0, _markdown_table(
-            f"success rate s@{eval_rows[0].tau:g} (± one standard error)",
+            f"success rate s@{eval_rows[0][1].tau:g} (± one standard error)",
             "agent",
-            sorted({r.n for r in eval_rows}),
-            {(r.agent, r.n): (r.s_at_tau, r.se_s) for r in eval_rows},
+            sorted({r.n for _, r in eval_rows}),
+            {(r.agent, r.n): (r.s_at_tau, r.se_s) for _, r in eval_rows},
         ))
     text = "\n\n".join(blocks)
     _write("report", cfg, paths, [text])

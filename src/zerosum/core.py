@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -49,16 +50,19 @@ def content_digest(obj) -> str:
 # the values a field accepts, keyed by its annotation's text up to any "["
 # (modules defer annotations, so a field's type is a string), and for
 # "tuple[T, ...]" the values its items accept, keyed by T; "T | None" accepts
-# what T accepts and None; other fields and items, such as a nested record,
-# are not checked here
+# what T accepts and None; other fields, such as a nested record, are not
+# checked here
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str,
                "tuple": tuple, "dict": dict}
 
 
 @functools.cache
 def _json_fields(cls) -> tuple:
-    """(name, accepted types or None, accepted item types or None) for each
-    field of dataclass cls."""
+    """(name, accepted types or None, accepted item types or None, item record
+    class or None, writer or None) for each field of dataclass cls. A field
+    whose annotation is no JSON type holds a record, and a "tuple[R, ...]"
+    whose R names a class of cls's module holds records of R."""
+    module = vars(sys.modules[cls.__module__])
     out = []
     for f in fields(cls):
         scalar = f.type.removesuffix(" | None")
@@ -66,9 +70,16 @@ def _json_fields(cls) -> tuple:
         want = _JSON_TYPES.get(head)
         if want and scalar != f.type:
             want = (want, type(None))  # isinstance reads nested tuples
-        item_types = _JSON_TYPES.get(items.partition(",")[0]) if head == "tuple" else None
-        out.append((f.name, want, item_types))
+        item = items.partition(",")[0] if head == "tuple" else ""
+        record = module.get(item) if item not in _JSON_TYPES else None
+        write = {"tuple": _record_forms if record else list, "dict": dict}.get(
+            head, None if head in _JSON_TYPES else operator.methodcaller("to_json_dict"))
+        out.append((f.name, want, _JSON_TYPES.get(item), record, write))
     return tuple(out)
+
+
+def _record_forms(records) -> list:
+    return [record.to_json_dict() for record in records]
 
 
 def _check_items(name: str, values: tuple, want) -> None:
@@ -81,26 +92,29 @@ def _check_items(name: str, values: tuple, want) -> None:
 
 
 def field_dict(obj) -> dict:
-    """A dataclass's JSON form: its class's schema tag, if any, then each field by name, shallow.
+    """A dataclass's JSON form: its class's schema tag, if any, then each field by name.
 
-    A field value with a ``to_json_dict`` is replaced by its JSON form; any
-    other value is kept as it is (json writes a tuple as an array).
+    How a value is written is chosen by its field's annotation: a record as
+    its ``to_json_dict()``, a tuple as a list (of its items' JSON forms when
+    they are records), a dict as a copy, so that the form equals its JSON
+    text read back, and a bool, int, float, str or None as it is.
     """
     schema = getattr(type(obj), "schema", None)
     out = {} if schema is None else {"schema": schema}
-    for name, _, _ in _json_fields(type(obj)):
+    for name, _, _, _, write in _json_fields(type(obj)):
         value = getattr(obj, name)
-        out[name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
+        out[name] = write(value) if write and value is not None else value
     return out
 
 
-def from_fields(cls, d, **readers):
+def from_fields(cls, d):
     """Build dataclass cls from its JSON form d, the inverse of field_dict.
 
-    When cls declares a schema, d must carry it as its "schema" tag. ``readers``
-    maps a field name to the reader of that field's JSON form; every other
-    JSON array becomes a tuple. A missing, unknown or wrongly typed key, or
-    a wrongly typed item of a "tuple[T, ...]" field, raises ContractViolation.
+    When cls declares a schema, d must carry it as its "schema" tag. Every
+    JSON array becomes a tuple, and each item of a "tuple[R, ...]" field of
+    records is read by R.from_json_dict. A missing, unknown or wrongly typed
+    key, or a wrongly typed item of a "tuple[T, ...]" field, raises
+    ContractViolation.
     """
     if not isinstance(d, dict):
         raise ContractViolation(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
@@ -109,21 +123,17 @@ def from_fields(cls, d, **readers):
         if d.get("schema") != schema:
             raise ContractViolation(f"expected schema {schema}, got {d.get('schema')!r}")
         d = {k: v for k, v in d.items() if k != "schema"}
-    kwargs = {}
+    kwargs = {key: tuple(value) if isinstance(value, list) else value for key, value in d.items()}
     try:
-        for key, value in d.items():
-            if key in readers:
-                value = readers[key](value)
-            elif isinstance(value, list):
-                value = tuple(value)
-            kwargs[key] = value
-        for name, want, item_want in _json_fields(cls):
+        for name, want, item_want, record, _ in _json_fields(cls):
             if want and name in kwargs:
                 value = kwargs[name]
                 # bool is an int subclass, but true is no number in a record
                 if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
                     raise TypeError(f"{name} has the wrong type: {value!r}")
-                if item_want and value is not None:
+                if record is not None and value is not None:
+                    kwargs[name] = tuple(map(record.from_json_dict, value))
+                elif item_want and value is not None:
                     _check_items(name, value, item_want)
         return cls(**kwargs)
     except TypeError as exc:

@@ -216,11 +216,7 @@ class PaddedGameRecord:
     def n(self) -> int:
         return self.padded.n
 
-    def to_json_dict(self) -> dict:
-        # the maps as lists, so that the form equals its JSON text read back;
-        # the certificate copied, so that editing the form leaves the record
-        return {**field_dict(self), "certificate": dict(self.certificate),
-                "row_map": list(self.row_map), "col_map": list(self.col_map)}
+    to_json_dict = field_dict
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PaddedGameRecord":

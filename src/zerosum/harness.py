@@ -81,13 +81,8 @@ class EvalResult:
     distribution: str = ""
     games: tuple[GameResult, ...] = field(default_factory=tuple)
 
-    def to_json_dict(self) -> dict:
-        return {**field_dict(self), "games": [g.to_json_dict() for g in self.games]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EvalResult":
-        return from_fields(cls, d,
-                           games=lambda gs: tuple(GameResult.from_json_dict(g) for g in gs))
+    to_json_dict = field_dict
+    from_json_dict = classmethod(from_fields)
 
 
 def score_responses(game, responses, tau: float) -> GameResult:
@@ -347,13 +342,8 @@ class PaddingCliffReport:
     tau: float
     rows: tuple[CliffRow, ...]
 
-    def to_json_dict(self) -> dict:
-        return {**field_dict(self), "rows": [r.to_json_dict() for r in self.rows]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PaddingCliffReport":
-        return from_fields(cls, d,
-                           rows=lambda rs: tuple(CliffRow.from_json_dict(r) for r in rs))
+    to_json_dict = field_dict
+    from_json_dict = classmethod(from_fields)
 
     def curve(self, condition: str) -> list[tuple[int, float]]:
         return [(r.n, r.s_at_tau) for r in self.rows if r.condition == condition]

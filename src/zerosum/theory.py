@@ -139,16 +139,8 @@ def selector_discontinuity_demo() -> DiscontinuityReport:
         eq = solve_zero_sum_lp(PayoffMatrix(eps * mp))
         jump = _pair_l1(eq.pair, zero_eq.pair)
         min_jump = min(min_jump, jump)
-        rows.append(
-            {
-                "eps": eps,
-                "matrix_distance": eps,
-                "strategy_jump": jump,
-                "value": eq.value,
-                "row": eq.pair.row.probs.tolist(),
-                "col": eq.pair.col.probs.tolist(),
-            }
-        )
+        rows.append({"eps": eps, "matrix_distance": eps, "strategy_jump": jump,
+                     "value": eq.value, **eq.pair.to_json_dict()})
     return DiscontinuityReport(
         rows=tuple(rows),
         zero_pair=zero_eq.pair.to_json_dict(),
@@ -286,6 +278,8 @@ class TraceStep:
     mean_reward: float
     mean_exploit: float
     grad_norm: float
+
+    to_json_dict = field_dict
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ this checkout's, with or without an installed zerosum. The checks at the end
 call `cli.main` in process: pinned manifest ids and option resolution."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -342,6 +343,27 @@ def test_manifest_ids_and_configs_are_pinned(tmp_path, monkeypatch, capsys):
         assert manifest["config"] == want_config
         seed = want_config.get("seed")
         assert manifest["seeds"] == ({} if seed is None else {"seed": seed})
+
+
+# the SHA-256 of each run's traintoy/1 --out file; "g2.jsonl" is written by
+# gen --n 2 --count 3 --seed 4 first
+TRAIN_TOY_PINS = [
+    (["--mode", "cooperative", "--steps", 60, "--seed", 3],
+     "c29dd8f3d78db1f09a720f105c0e3c0e1dcc9cd11a24012706345474a0e4c496"),
+    (["--mode", "role_merged", "--steps", 25, "--seed", 3],
+     "675ded362368f5d7f948a1491e5e9ad337e0f3ca58f171c117a2a51100e84095"),
+    (["--in", "g2.jsonl", "--index", 2, "--steps", 40, "--seed", 5,
+      "--accumulate-groups", 2],
+     "0c30a5c1751aa15528f93369ad83bc9eaa76a004878c4800868bf459266a0cd5"),
+]
+
+
+@pytest.mark.parametrize("argv, want", TRAIN_TOY_PINS, ids=["cooperative", "role_merged", "in"])
+def test_train_toy_bytes_are_pinned(argv, want, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main("gen", "--n", 2, "--count", 3, "--seed", 4, "--out", "g2.jsonl") == 0
+    assert cli_main("train-toy", *argv, "--out", "t.json") == 0, capsys.readouterr().err
+    assert hashlib.sha256((tmp_path / "t.json").read_bytes()).hexdigest() == want
 
 
 @pytest.mark.parametrize("agent", ["noisy:0.3", "remote:missing.json"])
@@ -761,6 +783,57 @@ class TestMalformedInput:
         assert "--audit-log applies only to a run that asks a remote agent" in \
             capsys.readouterr().err
         assert not any((games / name).exists() for name in ("log.jsonl", "s.json"))
+
+    @pytest.mark.parametrize("lines, key", [
+        (["count=2", "count=5"], "'count' repeats line 3"),
+        (["count=2", "count = 5"], "'count' repeats line 3"),
+    ], ids=["same", "spaced"])
+    def test_repeated_config_key(self, games, capsys, lines, key):
+        # the later line used to win: count=2 then count=5 wrote 5 games
+        (games / "c.cfg").write_text("".join(f"{line}\n" for line in ["n=3", "seed=1", *lines]))
+        assert cli_main("gen", "--config", "c.cfg", "--out", "x.jsonl") == 2
+        assert f"c.cfg:4: {key}" in capsys.readouterr().err
+        assert not (games / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("lines", [["target-n=5", "target_n=6"], ["target_n=5", "target-n=5"]])
+    def test_repeated_config_key_in_two_spellings(self, games, capsys, lines):
+        (games / "p.cfg").write_text("".join(f"{line}\n" for line in ["kind=random", *lines]))
+        assert cli_main("pad", "--in", "g.jsonl", "--config", "p.cfg", "--out", "p.jsonl") == 2
+        assert "p.cfg:3: 'target_n' repeats line 2" in capsys.readouterr().err
+        assert not (games / "p.jsonl").exists()
+
+    @pytest.fixture
+    def two_distributions(self, games, capsys):
+        # the same agent on integer and on gaussian n = 3 games, and one tau
+        for dist in ("integer", "gaussian"):
+            assert cli_main("gen", "--n", 3, "--count", 20, "--seed", 2, "--dist", dist,
+                            "--out", f"{dist}.jsonl") == 0
+            assert cli_main("eval", "--in", f"{dist}.jsonl", "--agent", "noisy:0.3",
+                            "--seed", 5, "--out", f"r_{dist}.json") == 0
+        capsys.readouterr()
+        return games
+
+    @pytest.mark.parametrize("order", [("integer", "gaussian"), ("gaussian", "integer")])
+    def test_report_on_results_that_fill_one_cell(self, two_distributions, capsys, order):
+        # each order once printed one row, read from whichever result came last
+        first, second = (f"r_{dist}.json" for dist in order)
+        assert cli_main("report", "--in", f"{first},{second}", "--out", "rep.md") == 2
+        assert f"{first} and {second} both report 'noisy:0.3' at n=3" in \
+            capsys.readouterr().err
+        assert not (two_distributions / "rep.md").exists()
+
+    @pytest.mark.parametrize("order", [(0.1, 0.2), (0.2, 0.1)])
+    def test_report_on_results_with_two_taus(self, games, capsys, order):
+        # the title once took its tau from the first result alone
+        for agent, tau in zip(("uniform", "oracle"), order):
+            assert cli_main("eval", "--in", "g.jsonl", "--agent", agent, "--tau", tau,
+                            "--out", f"{agent}.json") == 0
+        capsys.readouterr()
+        assert cli_main("report", "--in", "uniform.json,oracle.json", "--out", "rep.md") == 2
+        assert (f"uniform.json has tau {order[0]!r}, oracle.json tau {order[1]!r}"
+                in capsys.readouterr().err)
+        assert not (games / "rep.md").exists()
+        assert cli_main("report", "--in", "uniform.json", "--out", "rep.md") == 0
 
     def test_train_toy_index_without_records(self, games, capsys):
         assert cli_main("train-toy", "--steps", 2, "--seed", 1, "--index", 1,

@@ -10,6 +10,7 @@ import pytest
 from zerosum import (
     ContractViolation,
     DegenerateMatrixError,
+    GameSpec,
     MixedStrategy,
     PayoffMatrix,
     StrategyPair,
@@ -19,7 +20,9 @@ from zerosum import (
     normalize_payoffs,
     permute_pair,
     project_to_simplex,
+    sample_game,
 )
+from zerosum.gen import DISTRIBUTIONS
 
 MP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -238,6 +241,47 @@ class TestTransforms:
             base = exploitability(m, pair).reward
             moved = exploitability(apply_affine(m, c, d), pair).reward
             assert moved == pytest.approx(base, abs=1e-12)
+
+    def test_affine_invariance_property(self):
+        """The seeded test above on generated games: every distribution, sizes
+        2..10, normalized and raw, pure, sparse-support and mixed strategies,
+        and the invariance audit's c in [0.5, 2] and d in [-1, 1]."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        def strategies(n):
+            pure = st.integers(0, n - 1).map(lambda i: MixedStrategy.one_hot(n, i))
+            weights = hnp.arrays(np.float64, n, elements=st.floats(0, 1))
+            mixed = weights.map(project_to_simplex).filter(lambda s: s is not None)
+            support = hnp.arrays(np.bool_, n).filter(np.any)
+            positive = hnp.arrays(np.float64, n, elements=st.floats(0.01, 1))
+            sparse = st.tuples(support, positive).map(
+                lambda sw: project_to_simplex(np.where(sw[0], sw[1], 0.0)))
+            return st.one_of(pure, sparse, mixed)
+
+        @st.composite
+        def instances(draw):
+            spec = GameSpec(n=draw(st.integers(2, 10)),
+                            distribution=draw(st.sampled_from(DISTRIBUTIONS)),
+                            seed=draw(st.integers(0, 2 ** 32)),
+                            normalize=draw(st.booleans()))
+            game = sample_game(spec)
+            pair = StrategyPair(row=draw(strategies(spec.n)), col=draw(strategies(spec.n)))
+            return game.matrix, pair, draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0))
+
+        # no shrink phase, as in the permutation property above
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                             phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+        @hypothesis.given(instances())
+        def check(instance):
+            m, pair, c, d = instance
+            hypothesis.assume(m.span > 0.0)  # a raw sparse draw can be all zeros
+            base = exploitability(m, pair).reward
+            moved = exploitability(apply_affine(m, c, d), pair).reward
+            assert abs(moved - base) <= 1e-12
+
+        check()
 
     def test_affine_requires_positive_scale(self):
         with pytest.raises(ContractViolation):

@@ -5,12 +5,15 @@ Each pin is the SHA-256 of canonical_json(record.to_json_dict()). A change
 to how a record serializes (a key, a value's type, a float's bits) moves its
 pin, and with it the bytes that `eval --rescore` must reproduce."""
 
+import ast
 import hashlib
 import json
+import pathlib
 from dataclasses import dataclass
 
 import pytest
 
+import zerosum
 from zerosum import (
     BlockSolverAgent,
     ContractViolation,
@@ -194,6 +197,9 @@ class _Tagged:
 
     x: "int"
 
+    to_json_dict = field_dict
+    from_json_dict = classmethod(from_fields)
+
 
 def test_the_schema_tag_is_read_from_the_class():
     assert list(field_dict(_Tagged(1)).items()) == [("schema", "tagged/1"), ("x", 1)]
@@ -202,3 +208,57 @@ def test_the_schema_tag_is_read_from_the_class():
     for d in ({"x": 1}, {"schema": "tagged/2", "x": 1}):
         with pytest.raises(ContractViolation, match="expected schema tagged/1"):
             from_fields(_Tagged, d)
+
+
+@dataclass(frozen=True)
+class _Nested:
+    items: "tuple[_Tagged, ...]"
+    sizes: "tuple[int, ...] | None"
+    table: "dict"
+
+
+def test_nested_records_tuples_and_dicts_are_read_by_their_annotation():
+    rec = _Nested(items=(_Tagged(1), _Tagged(2)), sizes=(3, 4), table={"a": 1})
+    d = field_dict(rec)
+    assert d == json.loads(canonical_json(d)) == {
+        "items": [{"schema": "tagged/1", "x": 1}, {"schema": "tagged/1", "x": 2}],
+        "sizes": [3, 4], "table": {"a": 1}}
+    assert d["table"] is not rec.table
+    assert from_fields(_Nested, d) == rec
+    assert from_fields(_Nested, {**d, "sizes": None}).sizes is None
+    for edit, error in (({"items": [{"x": 1}]}, "expected schema tagged/1"),
+                        ({"items": {"x": 1}}, "items has the wrong type"),
+                        ({"sizes": [3, "4"]}, "sizes has an item of the wrong type")):
+        with pytest.raises(ContractViolation, match=error):
+            from_fields(_Nested, {**d, **edit})
+
+
+# every JSON form written or read by hand in src/zerosum/, keyed (module,
+# class, method), with the format difference that field_dict or from_fields
+# cannot express; every other record says to_json_dict = field_dict and
+# from_json_dict = classmethod(from_fields)
+HAND_WRITTEN = {
+    ("core", "MatrixMeta", "to_json_dict"): "leaves out unset provenance",
+    ("core", "PayoffMatrix", "to_json_dict"): "writes n and an ndarray's entries as lists",
+    ("core", "StrategyPair", "to_json_dict"): "writes each strategy as its list of weights",
+    ("harness", "InvarianceReport", "to_json_dict"):
+        "writes per_size_max with sorted str keys, and the derived ok",
+    ("theory", "_Report", "to_json_dict"): "writes the class's kind and the derived ok",
+    ("gen", "GameRecord", "from_json_dict"): "rebuilds the record from its spec and raw entries",
+    ("gen", "PaddedGameRecord", "from_json_dict"):
+        "rebuilds the record from its base, kind and padded size",
+    ("agents", "RemoteModelConfig", "from_json_dict"): "raises ConfigError, not ContractViolation",
+}
+
+
+def test_only_real_format_differences_are_hand_written():
+    found = set()
+    for path in pathlib.Path(zerosum.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owners = [(None, tree.body)] + [(node.name, node.body) for node in ast.walk(tree)
+                                        if isinstance(node, ast.ClassDef)]
+        for owner, body in owners:
+            found |= {(path.stem, owner, item.name) for item in body
+                      if isinstance(item, ast.FunctionDef)
+                      and item.name in ("to_json_dict", "from_json_dict")}
+    assert found == set(HAND_WRITTEN)

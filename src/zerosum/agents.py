@@ -2,7 +2,7 @@
 
 An agent is anything with a ``name`` and ``propose(game, k) ->
 list[AgentResponse]``. Built-in agents (uniform, maximin, oracle,
-noisy_oracle, block solver) are deterministic given (game, seed) and emit
+noisy, block solver) are deterministic given (game, seed) and emit
 their pair through the same serialize -> parse path used for model output,
 so every reward in the system is computed from raw text.
 
@@ -313,8 +313,11 @@ class RemoteModelAgent:
             return
         line = json.dumps(record, sort_keys=True)
         with self._lock:
-            with open(self.audit_path, "a") as fh:
-                fh.write(line + "\n")
+            try:
+                with open(self.audit_path, "a") as fh:
+                    fh.write(line + "\n")
+            except OSError as exc:  # permissions or a full disk
+                raise ConfigError(f"cannot write audit log {self.audit_path!r}: {exc}") from None
 
     def _request(self, prompt: str) -> str:
         # imported on first use: urllib.request loads ssl, which runs

@@ -27,11 +27,9 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
-import types
-
-import numpy as np
 
 from . import __version__ as VERSION
 from .agents import (
@@ -43,14 +41,7 @@ from .agents import (
     RemoteModelConfig,
     UniformAgent,
 )
-from .core import (
-    PayoffMatrix,
-    canonical_json,
-    content_digest,
-    field_dict,
-    normalize_payoffs,
-    raw_exploit,
-)
+from .core import canonical_json, content_digest, field_dict, raw_exploit
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -92,8 +83,10 @@ from .solver import (
     support_enumeration,
 )
 from .theory import (
+    MATCHING_PENNIES,
     ToyPolicy,
     check_residual_lipschitz,
+    frozen_training_check,
     grpo_cancellation_check,
     selector_discontinuity_demo,
     toy_grpo_train,
@@ -159,9 +152,23 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _check_writable(key: str, path: str, required: bool) -> None:
+    """Refuse a path the run cannot write: an empty one (an optional --out ""
+    writes no file, as no --out), a directory, or one in a missing directory."""
+    parent = os.path.dirname(path) or "."
+    if not path:
+        if required or key != "out":
+            raise ConfigError(f"{_flag(key)} names no file: ''")
+    elif os.path.isdir(path):
+        raise ConfigError(f"{_flag(key)} {path!r} is a directory")
+    elif not os.path.isdir(parent):
+        raise ConfigError(f"{_flag(key)} {path!r}: no directory {parent!r}")
+
+
 def _resolve(args: argparse.Namespace, options) -> dict:
     """Each option from its flag, else the config file, else its default;
-    then the required check and the cast, in table order."""
+    then the required check and the cast, in table order. A path the run
+    writes (--out, --audit-log) is checked here, before any work."""
     config = _read_config(args.config, [key for key, *_ in options]) if args.config else {}
     cfg = {}
     for key, cast, default, required, _ in options:
@@ -172,6 +179,8 @@ def _resolve(args: argparse.Namespace, options) -> dict:
             raise ConfigError(f"missing required option {_flag(key)}")
         if value is not None and cast is not None:
             value = cast(value, key)
+        if value is not None and key in ("out", "audit_log"):
+            _check_writable(key, value, required)
         cfg[key] = value
     return cfg
 
@@ -189,25 +198,28 @@ def _write(command: str, cfg: dict, inputs, lines) -> None:
     out = cfg["out"]
     if not out:
         return
-    with open(out, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    # the id names the logical run: it hashes everything except where the
-    # output happened to be written, so reruns share an id
-    core_config = {k: v for k, v in cfg.items() if k != "out"}
-    seeds = {} if cfg.get("seed") is None else {"seed": cfg["seed"]}
-    core = {"command": command, "config": core_config, "seeds": seeds, "version": VERSION}
-    manifest = {
-        "schema": "manifest/1",
-        "id": content_digest(core),
-        **core,
-        "out": out,
-        "inputs": {p: _digest_file(p) for p in inputs},
-        "outputs": {out: _digest_file(out)},
-        "created_unix": time.time(),
-    }
-    with open(out + ".manifest.json", "w") as fh:
-        fh.write(canonical_json(manifest) + "\n")
+    try:
+        with open(out, "w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        # the id names the logical run: it hashes everything except where the
+        # output happened to be written, so reruns share an id
+        core_config = {k: v for k, v in cfg.items() if k != "out"}
+        seeds = {} if cfg.get("seed") is None else {"seed": cfg["seed"]}
+        core = {"command": command, "config": core_config, "seeds": seeds, "version": VERSION}
+        manifest = {
+            "schema": "manifest/1",
+            "id": content_digest(core),
+            **core,
+            "out": out,
+            "inputs": {p: _digest_file(p) for p in inputs},
+            "outputs": {out: _digest_file(out)},
+            "created_unix": time.time(),
+        }
+        with open(out + ".manifest.json", "w") as fh:
+            fh.write(canonical_json(manifest) + "\n")
+    except OSError as exc:  # a path that passed _check_writable: permissions, a full disk
+        raise ConfigError(f"cannot write --out {out!r}: {exc}") from None
 
 
 def _emit(command: str, cfg: dict, inputs, payload: dict) -> None:
@@ -258,7 +270,7 @@ def _agent_from_spec(spec: str, seed, audit_log=None):
     kind, _, rest = spec.partition(":")
     if kind in _PLAIN_AGENTS:
         return _PLAIN_AGENTS[kind]()
-    if kind in ("noisy", "noisy_oracle"):
+    if kind == "noisy":
         if seed is None:
             raise ConfigError("a stochastic agent needs --seed")
         return NoisyOracleAgent(sigma=_as_float(rest or "0.1", "sigma"), seed=seed)
@@ -272,11 +284,6 @@ def _agent_from_spec(spec: str, seed, audit_log=None):
             raise ConfigError("a stochastic agent needs --seed")
         return RemoteModelAgent(cfg, audit_path=audit_log)
     raise ConfigError(f"unknown agent spec {spec!r}")
-
-
-def _matching_pennies_record():
-    matrix = normalize_payoffs(PayoffMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]])))
-    return types.SimpleNamespace(n=2, matrix=matrix, id="matching-pennies")
 
 
 def cmd_gen(cfg: dict) -> int:
@@ -442,33 +449,24 @@ def cmd_pad_exp(cfg: dict) -> int:
 
 def cmd_verify_theorems(cfg: dict) -> int:
     trials, seed = cfg["trials"], cfg["seed"]
-    checks = []
     lip = check_residual_lipschitz(trials=trials, seed=seed)
-    checks.append(("residual bound", lip.ok,
-                   f"max ratio {lip.max_ratio:.3f}, {lip.violations} violations", lip.to_json_dict()))
     disc = selector_discontinuity_demo()
-    checks.append(("selector discontinuity", disc.ok,
-                   f"min strategy jump {disc.min_jump:.3f} as matrix distance -> 0",
-                   disc.to_json_dict()))
     canc = grpo_cancellation_check(trials=trials, seed=seed)
-    checks.append(("advantage cancellation", canc.ok,
-                   f"max |coefficient| = {canc.max_abs_coefficient:g}", canc.to_json_dict()))
-    merged = toy_grpo_train(_matching_pennies_record(), ToyPolicy(), mode="role_merged",
-                            steps=25, seed=seed)
-    frozen_ok = not merged.logits_changed
-    checks.append(("role-merged training is frozen", frozen_ok,
-                   "logits bitwise unchanged after 25 steps" if frozen_ok
-                   else "logits moved under role-merged updates",
-                   {"kind": "frozen_training", "logits_changed": merged.logits_changed,
-                    "steps": merged.steps_run, "ok": frozen_ok}))
-    payload = {
-        "schema": "theorems/1",
-        "all_ok": all(ok for _, ok, _, _ in checks),
-        "checks": [c[3] for c in checks],
-    }
+    frozen = frozen_training_check(seed)
+    checks = [  # (name, report, detail)
+        ("residual bound", lip, f"max ratio {lip.max_ratio:.3f}, {lip.violations} violations"),
+        ("selector discontinuity", disc,
+         f"min strategy jump {disc.min_jump:.3f} as matrix distance -> 0"),
+        ("advantage cancellation", canc, f"max |coefficient| = {canc.max_abs_coefficient:g}"),
+        ("role-merged training is frozen", frozen,
+         f"logits bitwise unchanged after {frozen.steps} steps" if frozen.ok
+         else "logits moved under role-merged updates"),
+    ]
+    payload = {"schema": "theorems/1", "all_ok": all(report.ok for _, report, _ in checks),
+               "checks": [report.to_json_dict() for _, report, _ in checks]}
     _emit("verify-theorems", cfg, [], payload)
-    for name, ok, detail, _ in checks:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    for name, report, detail in checks:
+        print(f"{'PASS' if report.ok else 'FAIL'} {name}: {detail}")
     if not payload["all_ok"]:
         raise VerificationError("theorem verification failed")
     return 0
@@ -484,7 +482,7 @@ def cmd_train_toy(cfg: dict) -> int:
             raise ConfigError(f"--index {index} out of range for {len(records)} records")
         game = records[index]
     else:
-        game = _matching_pennies_record()
+        game = MATCHING_PENNIES
     policy = ToyPolicy(grid_m=cfg["grid_m"], learning_rate=cfg["lr"],
                        group_size=cfg["group_size"], kl_coef=cfg["kl_coef"])
     result = toy_grpo_train(game, policy, mode=mode, steps=cfg["steps"], seed=cfg["seed"],

@@ -107,6 +107,16 @@ def field_dict(obj) -> dict:
     return out
 
 
+class CheckReport:
+    """A check's JSON form: kind, fields, then the verdict ok. A check report is a
+    frozen dataclass that sets kind (as a class attribute or a field) and ok."""
+
+    kind: str
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, **field_dict(self), "ok": self.ok}
+
+
 def from_fields(cls, d):
     """Build dataclass cls from its JSON form d, the inverse of field_dict.
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .agents import parse_response
 from .core import (
+    CheckReport,
     apply_affine,
     apply_permutation,
     exploitability,
@@ -218,8 +219,8 @@ def rescore(result: EvalResult, games) -> EvalResult:
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
-    """Outcome of a metric-invariance audit over a game set."""
+class InvarianceReport(CheckReport):
+    """Outcome of a metric-invariance audit; per_size_max is keyed by str(n), as JSON writes it."""
 
     kind: str
     trials: int
@@ -232,13 +233,6 @@ class InvarianceReport:
     @property
     def ok(self) -> bool:
         return self.max_abs_diff <= self.tol
-
-    def to_json_dict(self) -> dict:
-        return {
-            **field_dict(self),
-            "per_size_max": {str(k): v for k, v in sorted(self.per_size_max.items())},
-            "ok": self.ok,
-        }
 
 
 def _permute(game, pair, rng):
@@ -290,12 +284,12 @@ def invariance_audit(agent, games, kinds=AUDIT_KINDS, seed: int = 0) -> list[Inv
     for kind in kinds:
         tag, tol, transform = _AUDITS[kind]
         diffs = []
-        per_size: dict[int, float] = {}
+        per_size: dict[str, float] = {}
         for idx, (game, pair, base) in enumerate(usable):
             matrix, moved = transform(game, pair, generator(child_seed(seed, tag, idx)))
             diff = abs(base - exploitability(matrix, moved).reward)
             diffs.append(diff)
-            per_size[game.n] = max(per_size.get(game.n, 0.0), diff)
+            per_size[str(game.n)] = max(per_size.get(str(game.n), 0.0), diff)
         reports.append(InvarianceReport(
             kind=kind,
             trials=len(diffs),
@@ -370,6 +364,9 @@ def padding_cliff_experiment(
     """
     if any(t <= base_n for t in targets):
         raise ContractViolation("every target size must exceed the base size")
+    repeated = next((t for i, t in enumerate(targets) if t in targets[:i]), None)
+    if repeated is not None:
+        raise ContractViolation(f"target size {repeated} repeats")
 
     def draw(n, *parts):
         return sample_game(GameSpec(n=n, distribution="integer", seed=child_seed(seed, *parts)))

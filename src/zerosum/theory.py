@@ -1,31 +1,38 @@
 """Executable checks for the metric's structural properties.
 
-Three families:
+Four checks, each a core.CheckReport:
   * residual Lipschitz bound: |Exploit(A,p,q) - Exploit(B,p,q)| is at most
     2 * max|A - B| for any fixed strategies, checked on random instances;
   * solver-selector discontinuity: the equilibrium map has no continuous
     selection at the zero matrix, demonstrated with a scaled
     matching-pennies path whose limit disagrees with the solution at 0;
-  * group-normalized advantage algebra: merging the two roles of a
+  * group-normalized advantage cancellation: merging the two roles of a
     zero-sum game into one advantage group makes every per-output
-    gradient coefficient exactly zero, including in a toy trainer where
-    the merged mode must leave policy logits bitwise unchanged.
+    gradient coefficient exactly zero;
+  * frozen training: in the toy trainer on matching pennies, the merged
+    mode leaves policy logits bitwise unchanged.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MixedStrategy, PayoffMatrix, StrategyPair, exploitability, field_dict, raw_exploit
+from .core import (CheckReport, MixedStrategy, PayoffMatrix, StrategyPair, exploitability,
+                   field_dict, normalize_payoffs, raw_exploit)
 from .errors import ContractViolation
 from .rng import child_seed, generator, standard_normal
 from .solver import solve_zero_sum_lp
 
 LIPSCHITZ_SLACK = 1e-9
 DISCONTINUITY_EPS = tuple(10.0 ** -k for k in range(1, 9))  # the scaled-pennies path
+# the one matching-pennies game: the selector path scales it; the frozen-training
+# check and train-toy without --in train on it
+MATCHING_PENNIES = types.SimpleNamespace(n=2, id="matching-pennies", matrix=normalize_payoffs(
+    PayoffMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))))
 
 
 def _random_simplex(rng, n: int) -> np.ndarray:
@@ -34,17 +41,8 @@ def _random_simplex(rng, n: int) -> np.ndarray:
     return e / e.sum()
 
 
-class _Report:
-    """JSON form shared by the check reports: kind, the fields, then ok."""
-
-    kind: str
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, **field_dict(self), "ok": self.ok}
-
-
 @dataclass(frozen=True)
-class LipschitzReport(_Report):
+class LipschitzReport(CheckReport):
     kind = "lipschitz"
 
     trials: int
@@ -101,7 +99,7 @@ def check_residual_lipschitz(trials: int = 500, seed: int = 0) -> LipschitzRepor
 
 
 @dataclass(frozen=True)
-class DiscontinuityReport(_Report):
+class DiscontinuityReport(CheckReport):
     """Equilibria along eps * matching-pennies vs the all-zeros solution."""
 
     kind = "discontinuity"
@@ -131,12 +129,11 @@ def selector_discontinuity_demo() -> DiscontinuityReport:
     stays >= 1 in l1 norm while the matrix perturbation shrinks to 0:
     the selector's discontinuity is forced, not an implementation choice.
     """
-    mp = np.array([[1.0, -1.0], [-1.0, 1.0]])
     zero_eq = solve_zero_sum_lp(PayoffMatrix(np.zeros((2, 2))))
     rows = []
     min_jump = math.inf
     for eps in DISCONTINUITY_EPS:
-        eq = solve_zero_sum_lp(PayoffMatrix(eps * mp))
+        eq = solve_zero_sum_lp(PayoffMatrix(eps * MATCHING_PENNIES.matrix.entries))
         jump = _pair_l1(eq.pair, zero_eq.pair)
         min_jump = min(min_jump, jump)
         rows.append({"eps": eps, "matrix_distance": eps, "strategy_jump": jump,
@@ -214,7 +211,7 @@ def grpo_advantages(rewards, mode: str) -> GroupAdvantages:
 
 
 @dataclass(frozen=True)
-class CancellationReport(_Report):
+class CancellationReport(CheckReport):
     kind = "cancellation"
 
     trials: int
@@ -425,3 +422,21 @@ def toy_grpo_train(
         first_window_mean_exploit=float(np.mean(head)),
         final_window_mean_exploit=float(np.mean(tail)),
     )
+
+
+@dataclass(frozen=True)
+class FrozenTrainingReport(CheckReport):
+    kind = "frozen_training"
+
+    logits_changed: bool
+    steps: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.logits_changed
+
+
+def frozen_training_check(seed: int = 0) -> FrozenTrainingReport:
+    """Role-merged ToyPolicy() training on matching pennies leaves the logits unchanged."""
+    merged = toy_grpo_train(MATCHING_PENNIES, mode="role_merged", steps=25, seed=seed)
+    return FrozenTrainingReport(logits_changed=merged.logits_changed, steps=merged.steps_run)

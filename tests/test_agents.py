@@ -521,6 +521,14 @@ class TestRemoteAgent:
         assert agent.transport_failures == 2
         assert len(server.requests) == 4  # retried like a transport error
 
+    def test_an_audit_log_that_cannot_be_written_is_a_config_error(self, tmp_path):
+        # a directory passes for a file until it is opened
+        with scripted_server() as (url, _):
+            cfg = RemoteModelConfig(endpoint=url, model="m", retries=0)
+            agent = RemoteModelAgent(cfg, audit_path=str(tmp_path))
+            with pytest.raises(ConfigError, match="cannot write audit log"):
+                agent.propose(GAME, 1)
+
     def test_unparseable_content_is_invalid_but_not_transport(self):
         with scripted_server(fallback_content="no strategy here") as (url, _):
             cfg = RemoteModelConfig(endpoint=url, model="m", retries=0)

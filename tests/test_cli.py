@@ -15,6 +15,7 @@ import warnings
 
 import pytest
 
+from test_agents import scripted_server
 from zerosum import ConfigError, cli
 
 
@@ -366,6 +367,29 @@ def test_train_toy_bytes_are_pinned(argv, want, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256((tmp_path / "t.json").read_bytes()).hexdigest() == want
 
 
+# the SHA-256 of each check report's --out file; gmix.jsonl holds n = 3 and
+# n = 12 games, so the audit's per_size_max keys sort as text, "12" before "3"
+CHECK_REPORT_PINS = [
+    (["audit", "--in", "gmix.jsonl", "--agent", "maximin", "--seed", 5, "--out", "a.json"],
+     "11844cfc9e2068ff823df4481c8ae03de0ef69aff481f4d7c9ea1bfbf1b3c504"),
+    (["verify-theorems", "--trials", 40, "--seed", 2, "--out", "thm.json"],
+     "f3f014a4a5f50e2c3a9603344aadd19f3c0c28efb1bb5d06f4c0ecc4968c34d8"),
+]
+
+
+@pytest.mark.parametrize("argv, want", CHECK_REPORT_PINS, ids=["audit", "verify-theorems"])
+def test_check_report_bytes_are_pinned(argv, want, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main("gen", "--n", 3, "--count", 6, "--seed", 7, "--out", "g3.jsonl") == 0
+    assert cli_main("gen", "--n", 12, "--count", 4, "--seed", 8, "--dist", "gaussian",
+                    "--out", "g12.jsonl") == 0
+    (tmp_path / "gmix.jsonl").write_bytes(
+        (tmp_path / "g3.jsonl").read_bytes() + (tmp_path / "g12.jsonl").read_bytes())
+    assert cli_main(*argv) == 0, capsys.readouterr().err
+    out = tmp_path / argv[argv.index("--out") + 1]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 @pytest.mark.parametrize("agent", ["noisy:0.3", "remote:missing.json"])
 def test_rescore_builds_no_agent(agent, tmp_path, monkeypatch, capsys):
     """A rescore reads only the stored texts, so an agent spec that would
@@ -391,11 +415,10 @@ class TestAgentFromSpec:
         assert cli._agent_from_spec("oracle", None).name == "oracle"
         assert cli._agent_from_spec("noisy", 1).name == "noisy:0.1"
         assert cli._agent_from_spec("noisy:0.25", 1).name == "noisy:0.25"
-        assert cli._agent_from_spec("noisy_oracle:0.25", 1).name == "noisy:0.25"
         assert cli._agent_from_spec("block", None).name == "block:3"
 
     def test_rejects(self):
-        for spec, seed in (("psychic", 1), ("noisy:0.3", None)):
+        for spec, seed in (("psychic", 1), ("noisy:0.3", None), ("noisy_oracle:0.25", 1)):
             with pytest.raises(ConfigError):
                 cli._agent_from_spec(spec, seed)
 
@@ -834,6 +857,79 @@ class TestMalformedInput:
                 in capsys.readouterr().err)
         assert not (games / "rep.md").exists()
         assert cli_main("report", "--in", "uniform.json", "--out", "rep.md") == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", 3, "--count", 2, "--seed", 1],
+        ["eval", "--in", "g.jsonl", "--agent", "uniform"],
+        ["solve", "--in", "g.jsonl"],
+        ["report", "--in", "r.json"],
+    ], ids=["gen", "eval", "solve", "report"])
+    def test_out_in_a_missing_directory(self, games, capsys, argv):
+        # each once ran to its end, then exited 1 on a traceback
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform", "--out", "r.json") == 0
+        capsys.readouterr()
+        path = os.path.join("missing", "x")
+        assert cli_main(*argv, "--out", path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before any work
+        assert f"--out {path!r}: no directory 'missing'" in err
+        assert not (games / "missing").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", 3, "--count", 2, "--seed", 1],
+        ["eval", "--in", "g.jsonl", "--agent", "uniform"],
+    ], ids=["gen", "eval"])
+    def test_out_that_is_a_directory(self, games, capsys, argv):
+        (games / "d").mkdir()
+        assert cli_main(*argv, "--out", "d") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--out 'd' is a directory" in err
+        assert list((games / "d").iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", 3, "--count", 2, "--seed", 1],
+        ["pad", "--in", "g.jsonl", "--kind", "random", "--target-n", 5],
+    ], ids=["gen", "pad"])
+    def test_required_out_that_is_empty(self, games, capsys, argv):
+        # each once printed "wrote N games to " and exited 0, writing nothing
+        assert cli_main(*argv, "--out", "") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--out names no file: ''" in err
+
+    def test_out_whose_manifest_cannot_be_written(self, games, capsys):
+        # the path check passes; the write itself fails, as on a full disk
+        (games / "x.jsonl.manifest.json").mkdir()
+        assert cli_main("gen", "--n", 3, "--count", 2, "--seed", 1, "--out", "x.jsonl") == 2
+        assert "cannot write --out 'x.jsonl'" in capsys.readouterr().err
+
+    def test_audit_log_in_a_missing_directory(self, games, capsys):
+        # the run once exited 1 on its first sample, after asking the endpoint
+        path = os.path.join("missing", "a.jsonl")
+        argv = ["eval", "--in", "g.jsonl", "--agent", "remote:remote.json", "--seed", 1,
+                "--k", 1]
+        with scripted_server() as (url, server):
+            (games / "remote.json").write_text(json.dumps({"endpoint": url, "model": "m"}))
+            assert cli_main(*argv, "--audit-log", path) == 2
+            assert server.requests == []
+            assert cli_main(*argv, "--audit-log", "a.jsonl") == 0
+            assert len(server.requests) == 2
+        assert f"--audit-log {path!r}: no directory 'missing'" in capsys.readouterr().err
+
+    def test_pad_exp_with_a_repeated_target(self, games, capsys):
+        # --targets 4,4 once ran size 4 twice: 9 rows under | n=2 | n=4 | n=4 |
+        assert cli_main("pad-exp", "--agent", "block:2", "--base-n", 2, "--targets", "4,4",
+                        "--count", 2, "--k", 1, "--seed", 1, "--out", "c.json") == 2
+        assert "target size 4 repeats" in capsys.readouterr().err
+        assert not (games / "c.json").exists()
+
+    def test_noisy_oracle_spelling(self, games, capsys):
+        # it once wrote noisy:0.2's bytes under a second manifest id
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "noisy_oracle:0.2", "--seed", 1,
+                        "--out", "r.json") == 2
+        assert "unknown agent spec 'noisy_oracle:0.2'" in capsys.readouterr().err
+        assert not (games / "r.json").exists()
 
     def test_train_toy_index_without_records(self, games, capsys):
         assert cli_main("train-toy", "--steps", 2, "--seed", 1, "--index", 1,

@@ -326,6 +326,12 @@ class TestPaddingCliff:
         with pytest.raises(ContractViolation):
             padding_cliff_experiment(UniformAgent(), base_n=3, targets=(3,), count=2)
 
+    @pytest.mark.parametrize("targets", [(4, 4), (4, 6, 4)])
+    def test_rejects_a_repeated_target(self, targets):
+        # (4, 4) once ran size 4 twice and wrote its three rows twice
+        with pytest.raises(ContractViolation, match="target size 4 repeats"):
+            padding_cliff_experiment(UniformAgent(), base_n=2, targets=targets, count=2)
+
     def test_report_json_schema(self):
         rep = padding_cliff_experiment(
             UniformAgent(), base_n=2, targets=(4,), count=2, k=1, seed=1

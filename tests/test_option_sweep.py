@@ -1,0 +1,121 @@
+"""Every option refuses what it cannot honour (ROADMAP item 7), by a seeded sweep.
+
+The sweep is built from ``cli._COMMANDS``. Starting from one small valid
+run per command, it changes one option at a time and calls ``cli.main`` in
+process; argparse's ``SystemExit(2)`` counts as exit 2.
+
+- Each option with a cast, and each agent spec's parameter (``noisy:``,
+  ``block:``), gets ``EDGE_VALUES``. A non-finite float must exit 2.
+- The options that size work get only the values their cast or check
+  refuses, plus one small valid value: an accepted ``--count 10**12`` runs
+  for hours, and a large ``--jobs`` starts that many threads.
+- The path options get a file in a missing directory, a directory, and "".
+
+Every run must exit 0, 2 or 3, never 1.
+"""
+
+import os
+
+import pytest
+
+from zerosum import cli
+
+EDGE_VALUES = ("nan", "inf", "-inf", "-1", "0", str(2 ** 64), str(10 ** 400), "", "1e3", "true")
+NON_FINITE = ("nan", "inf", "-inf", str(10 ** 400))  # float() reads 10**400 as inf
+# values that every integer cast refuses
+NOT_INTEGERS = ("nan", "inf", "-inf", "", "1e3", "true")
+
+# each option that sizes work -> one small valid value; a key in BOUNDED also
+# gets 2**64 and 10**400, which its check refuses (a size above 64, a base
+# size above every target, an --index without --in)
+SIZING = {"count": "1", "n": "2", "target_n": "5", "base_n": "2", "targets": "4",
+          "steps": "1", "trials": "1", "group_size": "1", "grid_m": "2",
+          "accumulate_groups": "1", "k": "1", "jobs": "2", "index": "0"}
+BOUNDED = ("n", "target_n", "base_n", "targets", "index")
+PATHS = ("in", "out", "audit_log", "rescore", "config")
+# options without a cast that name a choice or a label, not a number or a path
+WORDS = ("dist", "kind", "method", "mode", "condition", "agent")
+AGENT_PARAMETERS = ("noisy", "block")
+
+# one small valid run per command; g.jsonl and r0.json are written first
+BASE = {
+    "gen": {"n": "3", "count": "2", "seed": "1", "out": "x.jsonl"},
+    "pad": {"in": "g.jsonl", "kind": "dominated", "target_n": "5", "out": "p.jsonl"},
+    "solve": {"in": "g.jsonl", "out": "s.jsonl"},
+    "eval": {"in": "g.jsonl", "agent": "noisy:0.3", "k": "2", "seed": "1", "out": "r.json"},
+    "audit": {"in": "g.jsonl", "seed": "1", "out": "a.json"},
+    "pad-exp": {"agent": "block:2", "base_n": "2", "targets": "4", "count": "2", "k": "1",
+                "seed": "1", "out": "c.json"},
+    "verify-theorems": {"trials": "2", "seed": "1", "out": "t.json"},
+    "train-toy": {"steps": "2", "seed": "1", "out": "tt.json"},
+    "report": {"in": "r0.json", "out": "rep.md"},
+}
+
+
+def _argv(command: str, options: dict) -> list:
+    # --flag=value keeps a value such as -1 from reading as a flag
+    return [command, *(f"{cli._flag(key)}={value}" for key, value in options.items())]
+
+
+def _values(key: str, cast) -> tuple:
+    if key in PATHS:
+        return (os.path.join("missing", "f"), "a_directory", "")
+    if key in SIZING:
+        large = (str(2 ** 64), str(10 ** 400)) if key in BOUNDED else ()
+        return (*NOT_INTEGERS, "-1", "0", SIZING[key], *large)
+    return EDGE_VALUES if cast is not None else ()
+
+
+def _sweep(command: str):
+    """(argv, the exit codes it may give) for every value of every option."""
+    base = BASE[command]
+    for key, cast, _, _, _ in cli._COMMANDS[command][2]:
+        non_finite_exits_2 = cast is cli._as_float
+        for value in _values(key, cast):
+            codes = (2,) if non_finite_exits_2 and value in NON_FINITE else (0, 2, 3)
+            yield _argv(command, {**base, key: value}), codes
+        if key == "agent":
+            for kind in AGENT_PARAMETERS:
+                for value in EDGE_VALUES:
+                    codes = (2,) if kind == "noisy" and value in NON_FINITE else (0, 2, 3)
+                    yield _argv(command, {**base, key: f"{kind}:{value}"}), codes
+    for value in _values("config", None):
+        yield _argv(command, {**base, "config": value}), (0, 2, 3)
+
+
+def _exit_code(argv: list):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse refuses a flag
+        return exc.code
+    except Exception as exc:  # the CLI would exit 1 on its traceback
+        return f"1: {exc!r}"
+
+
+def test_every_option_is_classified():
+    """A new option must say how it is swept: no large value reaches it unseen."""
+    for command, (_, _, options) in cli._COMMANDS.items():
+        for key, cast, *_ in options:
+            if cast is cli._as_int:
+                assert key in SIZING, (command, key)
+            elif cast is None:
+                assert key in PATHS + WORDS + tuple(SIZING), (command, key)
+    assert set(BASE) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_no_option_value_exits_1(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_directory").mkdir()
+    assert cli.main(["gen", "--n", "3", "--count", "2", "--seed", "7", "--out", "g.jsonl"]) == 0
+    assert cli.main(["eval", "--in", "g.jsonl", "--agent", "uniform", "--out", "r0.json"]) == 0
+    assert _exit_code(_argv(command, BASE[command])) == 0, capsys.readouterr().err
+    wrong = []
+    runs = list(_sweep(command))
+    for argv, codes in runs:
+        code = _exit_code(argv)
+        capsys.readouterr()
+        if code not in codes:
+            wrong.append((argv, code))
+    assert wrong == []
+    assert len(runs) >= 3 * len(cli._COMMANDS[command][2])

@@ -241,9 +241,7 @@ HAND_WRITTEN = {
     ("core", "MatrixMeta", "to_json_dict"): "leaves out unset provenance",
     ("core", "PayoffMatrix", "to_json_dict"): "writes n and an ndarray's entries as lists",
     ("core", "StrategyPair", "to_json_dict"): "writes each strategy as its list of weights",
-    ("harness", "InvarianceReport", "to_json_dict"):
-        "writes per_size_max with sorted str keys, and the derived ok",
-    ("theory", "_Report", "to_json_dict"): "writes the class's kind and the derived ok",
+    ("core", "CheckReport", "to_json_dict"): "writes each check's kind and its derived ok",
     ("gen", "GameRecord", "from_json_dict"): "rebuilds the record from its spec and raw entries",
     ("gen", "PaddedGameRecord", "from_json_dict"):
         "rebuilds the record from its base, kind and padded size",

@@ -14,6 +14,7 @@ from zerosum import (
     StrategyPair,
     ToyPolicy,
     check_residual_lipschitz,
+    frozen_training_check,
     grpo_advantages,
     grpo_cancellation_check,
     project_to_simplex,
@@ -22,7 +23,8 @@ from zerosum import (
     toy_grpo_train,
     uniform_pair,
 )
-from zerosum.theory import LIPSCHITZ_SLACK
+from zerosum.core import CheckReport
+from zerosum.theory import LIPSCHITZ_SLACK, MATCHING_PENNIES, FrozenTrainingReport
 
 MP = SimpleNamespace(
     n=2, id="mp", matrix=PayoffMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -239,6 +241,21 @@ class TestToyTrainer:
         assert res.steps_run == 1
         assert res.final_logits == res.initial_logits
         assert all(math.isfinite(x) for x in res.final_logits)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_frozen_training_check(self, seed):
+        rep = frozen_training_check(seed)
+        assert isinstance(rep, CheckReport)
+        assert rep.to_json_dict() == {"kind": "frozen_training", "logits_changed": False,
+                                      "steps": 25, "ok": True}
+        moved = FrozenTrainingReport(logits_changed=True, steps=25)
+        assert moved.to_json_dict()["ok"] is False
+
+    def test_the_one_matching_pennies_game(self):
+        # normalizing a span-2 matrix multiplies by exactly 1.0
+        assert MATCHING_PENNIES.matrix.entries.tolist() == MP.matrix.entries.tolist()
+        assert MATCHING_PENNIES.matrix.meta.normalized
+        assert (MATCHING_PENNIES.n, MATCHING_PENNIES.id) == (2, "matching-pennies")
 
     def test_validation(self):
         game3 = SimpleNamespace(n=3, id="g3", matrix=PayoffMatrix(np.zeros((3, 3)) + np.eye(3)))

@@ -186,9 +186,9 @@ class NoisyOracleAgent:
     def __init__(self, sigma: float, seed: int = 0):
         if not 0 <= sigma < math.inf:
             raise ContractViolation(f"noise scale must be finite and >= 0, got {sigma}")
-        self.sigma = float(sigma)
+        self.sigma = float(sigma) + 0.0  # -0.0 reads as 0.0, so one scale has one name
         self.seed = int(seed)
-        self.name = f"noisy:{self.sigma:g}"
+        self.name = f"noisy:{self.sigma!r}"
 
     def propose(self, game, k: int) -> list[AgentResponse]:
         pair = solve_zero_sum_lp(game.matrix).pair
@@ -250,6 +250,12 @@ class BlockSolverAgent:
         return [resp] * k
 
 
+# remote retry r (1-based) waits min(_BACKOFF_MAX_S, _BACKOFF_FIRST_S * 2 ** (r - 1)) seconds
+_BACKOFF_FIRST_S = 0.5
+_BACKOFF_MAX_S = 8.0
+_sleep = time.sleep  # every wait goes through this name, so tests can record the waits
+
+
 @dataclass(frozen=True)
 class RemoteModelConfig:
     """Chat-completion endpoint settings for a remote model agent."""
@@ -293,7 +299,8 @@ class RemoteModelAgent:
     Each sample issues {model, messages, temperature, max_tokens, n: 1};
     the bearer token is read from the env var named by config.auth_env. A
     semaphore caps in-flight calls when games are evaluated in parallel.
-    A 4xx reply other than 429 is not retried. A reply without a string
+    Each retry first backs off (see _BACKOFF_FIRST_S), holding no semaphore
+    slot. A 4xx reply other than 429 is not retried. A reply without a string
     message content is retried like a transport error. Samples that exhaust
     their retry budget, or stop on a 4xx reply, become invalid (malformed)
     responses and count toward transport_failures.
@@ -341,7 +348,11 @@ class RemoteModelAgent:
             self.config.endpoint, data=json.dumps(body).encode(), headers=headers
         )
         last_error = None
-        for _ in range(self.config.retries + 1):
+        wait = _BACKOFF_FIRST_S
+        for attempt in range(self.config.retries + 1):
+            if attempt:
+                _sleep(wait)
+                wait = min(2 * wait, _BACKOFF_MAX_S)
             try:
                 with self._sem, urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
                     status, payload = resp.status, resp.read()

@@ -19,6 +19,8 @@ rerunning a generation command reproduces both the output bytes and the id.
 Exit codes: 0 success; 1 unexpected error; 2 configuration or input
 problem; 3 verification failure (solver disagreement, failed audit or
 theorem check, rescore mismatch); 4 every remote sample failed transport.
+A reader that closes stdout early drops the rest of the output and changes
+no exit status.
 """
 
 from __future__ import annotations
@@ -222,12 +224,28 @@ def _write(command: str, cfg: dict, inputs, lines) -> None:
         raise ConfigError(f"cannot write --out {out!r}: {exc}") from None
 
 
+def _drop_stdout() -> None:
+    """Point fd 1 at os.devnull once stdout's reader has gone: later output is
+    dropped, and neither a later print nor the exit flush raises again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _say(text: str) -> None:
+    """Print a line to stdout; a closed stdout drops it and changes no exit status."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
 def _emit(command: str, cfg: dict, inputs, payload: dict) -> None:
     """Write payload JSON as the one line of --out, or pretty-print it when --out is absent."""
     if cfg["out"]:
         _write(command, cfg, inputs, [canonical_json(payload)])
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _say(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _schema(payload):
@@ -267,23 +285,29 @@ _PLAIN_AGENTS = {agent.name: agent for agent in (UniformAgent, MaximinAgent, Ora
 
 
 def _agent_from_spec(spec: str, seed, audit_log=None):
+    """The agent a spec names. A built-in agent has one spelling, its name;
+    a remote agent's spec names its config file instead."""
     kind, _, rest = spec.partition(":")
     if kind in _PLAIN_AGENTS:
-        return _PLAIN_AGENTS[kind]()
-    if kind == "noisy":
+        agent = _PLAIN_AGENTS[kind]()
+    elif kind == "noisy":
         if seed is None:
             raise ConfigError("a stochastic agent needs --seed")
-        return NoisyOracleAgent(sigma=_as_float(rest or "0.1", "sigma"), seed=seed)
-    if kind == "block":
-        return BlockSolverAgent(_as_int(rest, "block")) if rest else BlockSolverAgent()
-    if kind == "remote":
+        agent = NoisyOracleAgent(sigma=_as_float(rest, "sigma"), seed=seed)
+    elif kind == "block":
+        agent = BlockSolverAgent(_as_int(rest, "block"))
+    elif kind == "remote":
         if not rest:
             raise ConfigError("remote agent needs a config path: remote:CONFIG.json")
         cfg = RemoteModelConfig.from_json_dict(_read_json(rest))
         if seed is None:
             raise ConfigError("a stochastic agent needs --seed")
         return RemoteModelAgent(cfg, audit_path=audit_log)
-    raise ConfigError(f"unknown agent spec {spec!r}")
+    else:
+        raise ConfigError(f"unknown agent spec {spec!r}")
+    if agent.name != spec:
+        raise ConfigError(f"agent spec {spec!r} is spelt {agent.name!r}")
+    return agent
 
 
 def cmd_gen(cfg: dict) -> int:
@@ -294,7 +318,7 @@ def cmd_gen(cfg: dict) -> int:
                         sparse_density=cfg["density"])
     records = [sample_game(eval_game_spec(template, n, cfg["seed"], i)) for i in range(count)]
     _write("gen", cfg, [], (canonical_json(rec.to_json_dict()) for rec in records))
-    print(f"wrote {count} games (n={n}, {dist}) to {out}")
+    _say(f"wrote {count} games (n={n}, {dist}) to {out}")
     return 0
 
 
@@ -314,7 +338,7 @@ def cmd_pad(cfg: dict) -> int:
         else:
             padded.append(random_pad(rec, target))
     _write("pad", cfg, [src], (canonical_json(rec.to_json_dict()) for rec in padded))
-    print(f"wrote {len(padded)} {kind}-padded games (n={target}) to {out}")
+    _say(f"wrote {len(padded)} {kind}-padded games (n={target}) to {out}")
     return 0
 
 
@@ -369,10 +393,10 @@ def cmd_solve(cfg: dict) -> int:
                     f"(value gap {gap:.3e}, certificate {cross:.3e})"
                 )
         rows.append(row)
-        print(f"{rec.id}  n={rec.n}  value={row['value']:+.6f}")
+        _say(f"{rec.id}  n={rec.n}  value={row['value']:+.6f}")
     _write("solve", cfg, [src], (canonical_json(row) for row in rows))
     if method == "both":
-        print(f"routes agree on {len(rows)} games (worst value gap {worst_gap:.3e})")
+        _say(f"routes agree on {len(rows)} games (worst value gap {worst_gap:.3e})")
     return 0
 
 
@@ -380,7 +404,7 @@ def _check_transport(agent) -> None:
     """Report a remote agent's transport failures; raise if every sample failed."""
     if not isinstance(agent, RemoteModelAgent):
         return
-    print(f"transport: {agent.transport_failures}/{agent.samples_attempted} samples failed")
+    _say(f"transport: {agent.transport_failures}/{agent.samples_attempted} samples failed")
     if agent.samples_attempted and agent.transport_failures == agent.samples_attempted:
         raise TransportExhausted("every remote sample failed transport")
 
@@ -398,13 +422,13 @@ def cmd_eval(cfg: dict) -> int:
         _emit("eval", cfg, [src, rescore_path], again.to_json_dict())
         if again != prior:  # field by field, as their JSON forms would compare
             raise VerificationError("rescore does not reproduce the stored result")
-        print("rescore reproduced the stored result exactly")
+        _say("rescore reproduced the stored result exactly")
         return 0
     agent = _agent_from_spec(cfg["agent"], cfg["seed"], audit_log=cfg["audit_log"])
     result = evaluate(agent, games, k=cfg["k"], tau=tau, jobs=cfg["jobs"],
                       condition=cfg["condition"], distribution=dist_label)
     _emit("eval", cfg, [src], result.to_json_dict())
-    print(
+    _say(
         f"{result.agent} on {result.count} games (n={result.n}): "
         f"s@{tau:g}={result.s_at_tau:.3f} ±{result.se_s:.3f} "
         f"pass@1={result.pass_at_1:.3f} valid={result.valid_rate:.3f}"
@@ -426,8 +450,8 @@ def cmd_audit(cfg: dict) -> int:
     payload = {"schema": "audit/1", "reports": [r.to_json_dict() for r in reports]}
     _emit("audit", cfg, [src], payload)
     for r in reports:
-        print(f"{'PASS' if r.ok else 'FAIL'} {r.kind}: max |diff| = {r.max_abs_diff:.3e} "
-              f"over {r.trials} games ({r.invalid} invalid, tol {r.tol:g})")
+        _say(f"{'PASS' if r.ok else 'FAIL'} {r.kind}: max |diff| = {r.max_abs_diff:.3e} "
+             f"over {r.trials} games ({r.invalid} invalid, tol {r.tol:g})")
     _check_transport(agent)
     if not all(r.ok for r in reports):
         raise VerificationError("metric invariance audit failed")
@@ -442,7 +466,7 @@ def cmd_pad_exp(cfg: dict) -> int:
         tau=cfg["tau"], seed=cfg["seed"], jobs=cfg["jobs"],
     )
     _emit("pad-exp", cfg, [], report.to_json_dict())
-    print(_padexp_table(report))
+    _say(_padexp_table(report))
     _check_transport(agent)
     return 0
 
@@ -466,7 +490,7 @@ def cmd_verify_theorems(cfg: dict) -> int:
                "checks": [report.to_json_dict() for _, report, _ in checks]}
     _emit("verify-theorems", cfg, [], payload)
     for name, report, detail in checks:
-        print(f"{'PASS' if report.ok else 'FAIL'} {name}: {detail}")
+        _say(f"{'PASS' if report.ok else 'FAIL'} {name}: {detail}")
     if not payload["all_ok"]:
         raise VerificationError("theorem verification failed")
     return 0
@@ -495,7 +519,7 @@ def cmd_train_toy(cfg: dict) -> int:
     }
     del payload["initial_logits"]  # not part of the traintoy/1 format
     _emit("train-toy", cfg, [src] if src else [], payload)
-    print(
+    _say(
         f"{mode}: {result.steps_run} steps, window exploit "
         f"{result.first_window_mean_exploit:.4f} -> {result.final_window_mean_exploit:.4f}, "
         f"logits {'moved' if result.logits_changed else 'bitwise unchanged'}"
@@ -559,7 +583,7 @@ def cmd_report(cfg: dict) -> int:
         ))
     text = "\n\n".join(blocks)
     _write("report", cfg, paths, [text])
-    print(text)
+    _say(text)
     return 0
 
 
@@ -686,6 +710,11 @@ def main(argv=None) -> int:
     except ZeroSumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        try:  # flushed here, so the exit flush cannot meet a closed stdout
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
 
 
 if __name__ == "__main__":

@@ -43,6 +43,14 @@ from zerosum import (
 from zerosum.core import MixedStrategy, StrategyPair, content_digest
 
 GAME = sample_game(GameSpec(n=2, distribution="integer", seed=0))
+
+
+@pytest.fixture(autouse=True)
+def waits(monkeypatch) -> list:
+    """The remote agent's backoff waits, recorded instead of slept."""
+    recorded = []
+    monkeypatch.setattr(agents, "_sleep", recorded.append)
+    return recorded
 GAME3 = sample_game(GameSpec(n=3, distribution="integer", seed=1))
 
 
@@ -537,3 +545,34 @@ class TestRemoteAgent:
         assert all(r.parse_error == "malformed" for r in out)
         assert all(r.raw_text == "no strategy here" for r in out)
         assert agent.transport_failures == 0
+
+
+class TestBackoff:
+    """Retry r waits min(8, 0.5 * 2 ** (r - 1)) seconds; nothing waits before the
+    first attempt, after the last, or after a 4xx other than 429."""
+
+    def ask(self, script, retries):
+        with scripted_server(script=script) as (url, server):
+            agent = RemoteModelAgent(RemoteModelConfig(endpoint=url, model="m", retries=retries))
+            agent.propose(GAME, 1)
+        return agent.transport_failures, len(server.requests)
+
+    def test_one_server_error_then_a_reply(self, waits):
+        assert self.ask([(500, {"error": "boom"})], retries=2) == (0, 2)
+        assert waits == [0.5]
+
+    def test_exhausted_retries(self, waits):
+        assert self.ask([(503, {"error": "busy"})] * 3, retries=2) == (1, 3)
+        assert waits == [0.5, 1.0]
+
+    def test_a_client_error_waits_for_nothing(self, waits):
+        assert self.ask([(400, {"error": "bad request"})], retries=2) == (1, 1)
+        assert waits == []
+
+    def test_no_retries_no_waits(self, waits):
+        assert self.ask([(500, {"error": "boom"})], retries=0) == (1, 1)
+        assert waits == []
+
+    def test_the_wait_is_capped(self, waits):
+        assert self.ask([(500, {"error": "down"})] * 7, retries=6) == (1, 7)
+        assert waits == [0.5, 1, 2, 4, 8, 8]

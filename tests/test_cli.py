@@ -22,7 +22,7 @@ from zerosum import ConfigError, cli
 CLI = [sys.executable, "-m", "zerosum.cli"]
 
 
-def run(*args, cwd, env=None):
+def _child_env(env=None) -> dict:
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(repo, "src")
     merged = os.environ.copy()
@@ -30,14 +30,33 @@ def run(*args, cwd, env=None):
         p for p in (src, merged.get("PYTHONPATH")) if p)
     if env:
         merged.update(env)
+    return merged
+
+
+def run(*args, cwd, env=None):
     return subprocess.run(
         [*CLI, *[str(a) for a in args]],
         cwd=cwd,
-        env=merged,
+        env=_child_env(env),
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def run_reading_lines(lines, *args, cwd):
+    """Run the CLI, read `lines` lines of its stdout, then close the pipe, as
+    `| head -{lines}` does; return (exit code, stderr)."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as Python sets up a pipe
+    proc = subprocess.Popen([*CLI, *[str(a) for a in args]], cwd=cwd, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=300), err
 
 
 def gen_games(tmp_path, name="games.jsonl", n=3, count=5, seed=7):
@@ -200,6 +219,37 @@ class TestEval:
                   "--targets", 4, "--k", 1, "--seed", 1, cwd=tmp_path)
         assert res.returncode == 4
         assert "transport" in res.stderr
+
+
+class TestClosedStdout:
+    """A reader that goes away early drops the rest of stdout and changes no
+    exit status. Each result JSON outgrows a 64 KiB pipe buffer (200 KiB for
+    uniform, 170 KiB for the remote agent's 400 games at k = 4)."""
+
+    def test_uniform_exits_0(self, tmp_path):
+        games = gen_games(tmp_path, n=8, count=200)
+        code, err = run_reading_lines(1, "eval", "--in", games.name, "--agent", "uniform",
+                                      cwd=tmp_path)
+        assert (code, err) == (0, "")
+
+    def test_a_reader_gone_before_any_output(self, tmp_path):
+        # the output stays in stdout's buffer to the end, so only the last flush meets the
+        # closed pipe; at the interpreter's exit flush it made the run exit 120
+        games = gen_games(tmp_path)
+        code, err = run_reading_lines(0, "eval", "--in", games.name, "--agent", "uniform",
+                                      cwd=tmp_path)
+        assert (code, err) == (0, "")
+
+    def test_exhausted_transport_exits_4(self, tmp_path):
+        games = gen_games(tmp_path, n=8, count=400)
+        cfg = {"endpoint": "http://127.0.0.1:1", "model": "m",
+               "retries": 0, "timeout": 0.25}
+        (tmp_path / "remote.json").write_text(json.dumps(cfg))
+        code, err = run_reading_lines(1, "eval", "--in", games.name, "--agent",
+                                      "remote:remote.json", "--seed", 1, "--k", 4,
+                                      cwd=tmp_path)
+        assert code == 4
+        assert err == "transport exhausted: every remote sample failed transport\n"
 
 
 class TestAuditAndTheorems:
@@ -413,14 +463,50 @@ class TestAgentFromSpec:
         assert cli._agent_from_spec("uniform", None).name == "uniform"
         assert cli._agent_from_spec("maximin", None).name == "maximin"
         assert cli._agent_from_spec("oracle", None).name == "oracle"
-        assert cli._agent_from_spec("noisy", 1).name == "noisy:0.1"
         assert cli._agent_from_spec("noisy:0.25", 1).name == "noisy:0.25"
-        assert cli._agent_from_spec("block", None).name == "block:3"
 
     def test_rejects(self):
-        for spec, seed in (("psychic", 1), ("noisy:0.3", None), ("noisy_oracle:0.25", 1)):
+        for spec, seed in (("psychic", 1), ("noisy:0.3", None), ("noisy_oracle:0.25", 1),
+                           ("noisy", 1), ("block", None)):
             with pytest.raises(ConfigError):
                 cli._agent_from_spec(spec, seed)
+
+    @pytest.mark.parametrize("spec", [
+        "uniform", "maximin", "oracle", "noisy:0.0", "noisy:0.1", "noisy:0.25", "noisy:1.0",
+        "noisy:1e-05", "noisy:0.1234567", "noisy:0.1234568", "block:2", "block:3", "block:12",
+    ])
+    def test_a_built_in_spec_is_its_agents_name(self, spec):
+        assert cli._agent_from_spec(spec, 1).name == spec
+
+    @pytest.mark.parametrize("spec, missing", [
+        ("noisy:", "sigma must be a number, got ''"),
+        ("block:", "block must be an integer, got ''"),
+    ])
+    def test_a_missing_parameter_is_named(self, spec, missing):
+        with pytest.raises(ConfigError, match=missing):
+            cli._agent_from_spec(spec, 1)
+
+    @pytest.mark.parametrize("spec, name", [
+        ("uniform:junk", "uniform"), ("uniform:", "uniform"), ("maximin:x", "maximin"),
+        ("oracle:x", "oracle"), ("noisy:0.10", "noisy:0.1"), ("noisy:3e-1", "noisy:0.3"),
+        ("noisy:1", "noisy:1.0"), ("noisy:0", "noisy:0.0"), ("noisy:-0.0", "noisy:0.0"),
+        ("noisy: 0.1", "noisy:0.1"), ("block:03", "block:3"), ("block:+3", "block:3"),
+    ])
+    def test_an_alias_names_the_spelling_to_use(self, spec, name):
+        with pytest.raises(ConfigError) as err:
+            cli._agent_from_spec(spec, 1)
+        assert str(err.value) == f"agent spec {spec!r} is spelt {name!r}"
+
+    def test_close_noise_scales_report_as_two_rows(self, tmp_path, monkeypatch, capsys):
+        # both were once named noisy:0.123457, and report refused them as one cell
+        monkeypatch.chdir(tmp_path)
+        assert cli_main("gen", "--n", 3, "--count", 2, "--seed", 1, "--out", "g.jsonl") == 0
+        for sigma in ("0.1234567", "0.1234568"):
+            assert cli_main("eval", "--in", "g.jsonl", "--agent", f"noisy:{sigma}",
+                            "--seed", 1, "--out", f"r{sigma}.json") == 0
+        assert cli_main("report", "--in", "r0.1234567.json,r0.1234568.json") == 0
+        out = capsys.readouterr().out
+        assert "| noisy:0.1234567 |" in out and "| noisy:0.1234568 |" in out
 
 
 class TestOptionResolution:

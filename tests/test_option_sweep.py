@@ -10,6 +10,10 @@ process; argparse's ``SystemExit(2)`` counts as exit 2.
   refuses, plus one small valid value: an accepted ``--count 10**12`` runs
   for hours, and a large ``--jobs`` starts that many threads.
 - The path options get a file in a missing directory, a directory, and "".
+- Each built-in agent has one spelling, its name: ``AGENT_ALIASES`` (a bare
+  ``noisy`` or ``block``, ``kind:``, a parameter on a plain agent, a
+  numeral the name does not spell) must exit 2, and each of
+  ``CANONICAL_AGENTS`` must exit 0.
 
 Every run must exit 0, 2 or 3, never 1.
 """
@@ -36,6 +40,10 @@ PATHS = ("in", "out", "audit_log", "rescore", "config")
 # options without a cast that name a choice or a label, not a number or a path
 WORDS = ("dist", "kind", "method", "mode", "condition", "agent")
 AGENT_PARAMETERS = ("noisy", "block")
+CANONICAL_AGENTS = ("uniform", "maximin", "oracle", "noisy:0.3", "block:3")
+AGENT_ALIASES = ("uniform:", "uniform:x", "maximin:", "maximin:x", "oracle:", "oracle:x",
+                 "noisy", "noisy:", "noisy:0.30", "noisy:3e-1",
+                 "block", "block:", "block:03", "block:+3")
 
 # one small valid run per command; g.jsonl and r0.json are written first
 BASE = {
@@ -79,6 +87,10 @@ def _sweep(command: str):
                 for value in EDGE_VALUES:
                     codes = (2,) if kind == "noisy" and value in NON_FINITE else (0, 2, 3)
                     yield _argv(command, {**base, key: f"{kind}:{value}"}), codes
+            for spec in CANONICAL_AGENTS:
+                yield _argv(command, {**base, key: spec}), (0,)
+            for spec in AGENT_ALIASES:
+                yield _argv(command, {**base, key: spec}), (2,)
     for value in _values("config", None):
         yield _argv(command, {**base, "config": value}), (0, 2, 3)
 

@@ -267,7 +267,6 @@ class RemoteModelConfig:
     timeout: float = 30.0
     retries: int = 2
     auth_env: str = "ZEROSUM_API_TOKEN"
-    max_inflight: int = 4
 
     def __post_init__(self):
         if not self.endpoint:
@@ -282,8 +281,6 @@ class RemoteModelConfig:
             raise ConfigError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
-        if self.max_inflight < 1:
-            raise ConfigError("max_inflight must be >= 1")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RemoteModelConfig":
@@ -297,13 +294,12 @@ class RemoteModelAgent:
     """POSTs chat completions over urllib; retries, audits, never aborts a run.
 
     Each sample issues {model, messages, temperature, max_tokens, n: 1};
-    the bearer token is read from the env var named by config.auth_env. A
-    semaphore caps in-flight calls when games are evaluated in parallel.
-    Each retry first backs off (see _BACKOFF_FIRST_S), holding no semaphore
-    slot. A 4xx reply other than 429 is not retried. A reply without a string
-    message content is retried like a transport error. Samples that exhaust
-    their retry budget, or stop on a 4xx reply, become invalid (malformed)
-    responses and count toward transport_failures.
+    the bearer token is read from the env var named by config.auth_env.
+    Each retry first backs off (see _BACKOFF_FIRST_S). A 4xx reply other
+    than 429 is not retried. A reply without a string message content is
+    retried like a transport error. Samples that exhaust their retry
+    budget, or stop on a 4xx reply, become invalid (malformed) responses
+    and count toward transport_failures.
     """
 
     def __init__(self, config: RemoteModelConfig, audit_path: str | None = None):
@@ -312,7 +308,6 @@ class RemoteModelAgent:
         self.name = f"remote:{config.model}"
         self.transport_failures = 0
         self.samples_attempted = 0
-        self._sem = threading.Semaphore(config.max_inflight)
         self._lock = threading.Lock()
 
     def _audit(self, record: dict):
@@ -354,7 +349,7 @@ class RemoteModelAgent:
                 _sleep(wait)
                 wait = min(2 * wait, _BACKOFF_MAX_S)
             try:
-                with self._sem, urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+                with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
                     status, payload = resp.status, resp.read()
                 if status == 200:
                     content = json.loads(payload)["choices"][0]["message"]["content"]

@@ -126,27 +126,36 @@ def _as_bool(value, key):
     raise ConfigError(f"{key} must be a boolean, got {value!r}")
 
 
+def _lines(path: str):
+    """The lines of a UTF-8 text file, read one at a time with universal
+    newlines. A file that cannot be opened or read, or whose bytes are not
+    UTF-8, is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
 def _read_config(path: str, keys) -> dict:
     out = {}
     lines = {}  # key -> the line that set it
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                if "=" not in text:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-                key, _, value = text.partition("=")
-                key = key.strip().replace("-", "_")
-                if key not in keys:
-                    raise ConfigError(f"{path}:{lineno}: {key!r} names no option of this command")
-                if key in lines:
-                    raise ConfigError(f"{path}:{lineno}: {key!r} repeats line {lines[key]}")
-                lines[key] = lineno
-                out[key] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    for lineno, line in enumerate(_lines(path), 1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
+        key, _, value = text.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: {key!r} names no option of this command")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
+        out[key] = value.strip()
     return out
 
 
@@ -161,16 +170,58 @@ def _check_writable(key: str, path: str, required: bool) -> None:
     if not path:
         if required or key != "out":
             raise ConfigError(f"{_flag(key)} names no file: ''")
+    elif "\0" in path:
+        raise ConfigError(f"{_flag(key)} {path!r} holds a NUL byte")
     elif os.path.isdir(path):
         raise ConfigError(f"{_flag(key)} {path!r} is a directory")
     elif not os.path.isdir(parent):
         raise ConfigError(f"{_flag(key)} {path!r}: no directory {parent!r}")
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: by device and inode where both exist,
+    so a hard link counts, else by real path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    try:
+        return os.path.realpath(a) == os.path.realpath(b)
+    except ValueError:  # a NUL byte, so a path that names no file
+        return False
+
+
+def _report_paths(value) -> list:
+    """The result files of a report --in comma list."""
+    return [p.strip() for p in str(value).split(",") if p.strip()]
+
+
+def _check_outputs_apart(command: str, cfg: dict, config_path) -> None:
+    """Refuse a run whose output (--out, its manifest, --audit-log) is a file
+    it reads (--config, --in, --rescore, a remote: agent's config) or another
+    of its outputs, before anything is overwritten."""
+    ins = _report_paths(cfg["in"]) if command == "report" else [cfg.get("in")]
+    kind, _, remote_config = str(cfg.get("agent")).partition(":")
+    out = cfg["out"]
+    named = [  # (flag, path, written), the files read first
+        ("--config", config_path, False),
+        *(("--in", path, False) for path in ins),
+        ("--rescore", cfg.get("rescore"), False),
+        ("--agent remote:", remote_config if kind == "remote" else None, False),
+        ("--out", out, True),
+        ("--out's manifest", out and out + ".manifest.json", True),
+        ("--audit-log", cfg.get("audit_log"), True),
+    ]
+    named = [(flag, path, written) for flag, path, written in named if path]
+    for i, (flag, path, _) in enumerate(named):
+        for other_flag, other, written in named[i + 1:]:
+            if written and _same_file(path, other):
+                raise ConfigError(f"{other_flag} {other!r} would overwrite {flag} {path!r}")
+
+
 def _resolve(args: argparse.Namespace, options) -> dict:
     """Each option from its flag, else the config file, else its default;
     then the required check and the cast, in table order. A path the run
-    writes (--out, --audit-log) is checked here, before any work."""
+    writes (--out, --audit-log) is checked here, before any work: it must
+    be writable and no file the run reads."""
     config = _read_config(args.config, [key for key, *_ in options]) if args.config else {}
     cfg = {}
     for key, cast, default, required, _ in options:
@@ -184,6 +235,7 @@ def _resolve(args: argparse.Namespace, options) -> dict:
         if value is not None and key in ("out", "audit_log"):
             _check_writable(key, value, required)
         cfg[key] = value
+    _check_outputs_apart(args.command, cfg, args.config)
     return cfg
 
 
@@ -253,29 +305,24 @@ def _schema(payload):
 
 
 def _read_json(path: str):
+    text = "".join(_lines(path))
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        return json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"{path}: not JSON: {exc}") from None
 
 
 def _load_records(path: str) -> list:
     records = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                d = json.loads(line)
-                padded = _schema(d) == PaddedGameRecord.schema
-                records.append((PaddedGameRecord if padded else GameRecord).from_json_dict(d))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    except (ValueError, KeyError) as exc:  # not JSON, or not a valid record
-        raise ConfigError(f"{path}: bad record: {exc}") from None
+    for line in _lines(path):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+            padded = _schema(d) == PaddedGameRecord.schema
+            records.append((PaddedGameRecord if padded else GameRecord).from_json_dict(d))
+        except (ValueError, KeyError) as exc:  # not JSON, or not a valid record
+            raise ConfigError(f"{path}: bad record: {exc}") from None
     if not records:
         raise ConfigError(f"{path}: no records")
     return records
@@ -554,7 +601,7 @@ def _padexp_table(report: PaddingCliffReport) -> str:
 
 
 def cmd_report(cfg: dict) -> int:
-    paths = [p.strip() for p in str(cfg["in"]).split(",") if p.strip()]
+    paths = _report_paths(cfg["in"])
     if not paths:
         raise ConfigError(f"--in names no result file: {cfg['in']!r}")
     eval_rows = []  # (path, eval result)

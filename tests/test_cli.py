@@ -221,6 +221,20 @@ class TestEval:
         assert "transport" in res.stderr
 
 
+class TestRemoteConcurrency:
+    @pytest.mark.parametrize("jobs", [1, 4, 8])
+    def test_jobs_sets_the_requests_in_flight(self, tmp_path, monkeypatch, jobs):
+        # a remote agent once held at most 4 requests in flight, whatever --jobs asked
+        monkeypatch.chdir(tmp_path)
+        assert cli_main("gen", "--n", 3, "--count", 16, "--seed", 1, "--out", "g.jsonl") == 0
+        with scripted_server(hold=jobs) as (url, server):
+            (tmp_path / "remote.json").write_text(json.dumps({"endpoint": url, "model": "m"}))
+            assert cli_main("eval", "--in", "g.jsonl", "--agent", "remote:remote.json",
+                            "--seed", 1, "--k", 1, "--jobs", jobs) == 0
+        assert len(server.requests) == 16
+        assert server.peak == jobs
+
+
 class TestClosedStdout:
     """A reader that goes away early drops the rest of stdout and changes no
     exit status. Each result JSON outgrows a 64 KiB pipe buffer (200 KiB for
@@ -750,9 +764,17 @@ class TestMalformedInput:
                         "--seed", 1, "--k", 1) == 2
         assert "bad RemoteModelConfig" in capsys.readouterr().err
 
+    def test_eval_with_a_remote_config_naming_max_inflight(self, games, capsys):
+        # the key once capped --jobs; a config that asks for it is refused
+        config = {"endpoint": "http://127.0.0.1:1", "model": "m", "max_inflight": 8}
+        (games / "remote.json").write_text(json.dumps(config))
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "remote:remote.json",
+                        "--seed", 1, "--k", 1, "--jobs", 8) == 2
+        assert "unexpected keyword argument 'max_inflight'" in capsys.readouterr().err
+
     def test_eval_with_a_bool_in_a_numeric_remote_field(self, games, capsys):
         config = {"endpoint": "http://127.0.0.1:1", "model": "m",
-                  "retries": True, "max_inflight": True, "temperature": False}
+                  "retries": True, "max_tokens": True, "temperature": False}
         (games / "remote.json").write_text(json.dumps(config))
         assert cli_main("eval", "--in", "g.jsonl", "--agent", "remote:remote.json",
                         "--seed", 1, "--k", 1) == 2
@@ -1017,6 +1039,31 @@ class TestMalformedInput:
         assert "unknown agent spec 'noisy_oracle:0.2'" in capsys.readouterr().err
         assert not (games / "r.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", 3, "--seed", 1, "--out", "x.jsonl", "--config", "bad"],
+        ["solve", "--in", "bad"],
+        ["eval", "--in", "g.jsonl", "--agent", "uniform", "--rescore", "bad"],
+        ["eval", "--in", "g.jsonl", "--agent", "remote:bad", "--seed", 1],
+        ["report", "--in", "bad"],
+    ], ids=["config", "games", "rescore", "remote config", "report"])
+    def test_a_file_that_is_not_utf8(self, games, capsys, argv):
+        # a config once exited 1 on a UnicodeDecodeError traceback
+        (games / "bad").write_bytes(b"count=2\n\xff\xfe\n")
+        assert cli_main(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot read bad: not UTF-8 text (invalid start byte)" in err
+        assert not (games / "x.jsonl").exists()
+
+    def test_a_path_that_holds_a_nul_byte(self, games, capsys):
+        # a config file can name one; the command line cannot
+        (games / "in.cfg").write_text("in=g\0.jsonl\n")
+        (games / "out.cfg").write_text("in=g.jsonl\nout=s\0.jsonl\n")
+        assert cli_main("solve", "--config", "in.cfg") == 2
+        assert "cannot read g\0.jsonl: embedded null byte" in capsys.readouterr().err
+        assert cli_main("solve", "--config", "out.cfg") == 2
+        assert "--out 's\\x00.jsonl' holds a NUL byte" in capsys.readouterr().err
+
     def test_train_toy_index_without_records(self, games, capsys):
         assert cli_main("train-toy", "--steps", 2, "--seed", 1, "--index", 1,
                         "--out", "t.json") == 2
@@ -1024,3 +1071,72 @@ class TestMalformedInput:
         assert not (games / "t.json").exists()
         assert cli_main("train-toy", "--steps", 2, "--seed", 1, "--index", 0,
                         "--out", "t.json") == 0
+
+
+class TestOutputsApart:
+    """No output (--out, its manifest, --audit-log) may be a file the run reads
+    or another output: exit 2 before any work, every file left as it was."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main("gen", "--n", 3, "--count", 2, "--seed", 1, "--out", "g.jsonl") == 0
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform", "--out", "r.json") == 0
+        (tmp_path / "c.manifest.json").write_text("# an empty config\n")
+        (tmp_path / "remote.json").write_text(
+            json.dumps({"endpoint": "http://127.0.0.1:1", "model": "m"}))
+        os.link("g.jsonl", "hard.jsonl")
+        os.symlink("g.jsonl", "soft.jsonl")
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, error", [
+        (["pad", "--in", "g.jsonl", "--kind", "dominated", "--target-n", 5, "--out", "g.jsonl"],
+         "--out 'g.jsonl' would overwrite --in 'g.jsonl'"),
+        (["solve", "--in", "g.jsonl", "--out", "./g.jsonl"],
+         "--out './g.jsonl' would overwrite --in 'g.jsonl'"),
+        (["solve", "--in", "hard.jsonl", "--out", "g.jsonl"],
+         "--out 'g.jsonl' would overwrite --in 'hard.jsonl'"),
+        (["solve", "--in", "soft.jsonl", "--out", "g.jsonl"],
+         "--out 'g.jsonl' would overwrite --in 'soft.jsonl'"),
+        (["eval", "--in", "g.jsonl", "--agent", "uniform", "--rescore", "r.json",
+          "--out", "r.json"], "--out 'r.json' would overwrite --rescore 'r.json'"),
+        (["eval", "--in", "g.jsonl", "--agent", "remote:remote.json", "--seed", 1,
+          "--out", "remote.json"], "--out 'remote.json' would overwrite --agent remote: "
+                                   "'remote.json'"),
+        (["eval", "--in", "g.jsonl", "--agent", "remote:remote.json", "--seed", 1,
+          "--out", "x.json", "--audit-log", "x.json"],
+         "--audit-log 'x.json' would overwrite --out 'x.json'"),
+        (["eval", "--in", "g.jsonl", "--agent", "remote:remote.json", "--seed", 1,
+          "--audit-log", "g.jsonl"], "--audit-log 'g.jsonl' would overwrite --in 'g.jsonl'"),
+        (["report", "--in", "r.json, g.jsonl.manifest.json", "--out", "g.jsonl"],
+         "--out's manifest 'g.jsonl.manifest.json' would overwrite --in "
+         "'g.jsonl.manifest.json'"),
+        (["report", "--in", "r.json", "--out", "c", "--config", "c.manifest.json"],
+         "--out's manifest 'c.manifest.json' would overwrite --config 'c.manifest.json'"),
+        (["gen", "--n", 3, "--seed", 1, "--config", "c.manifest.json",
+          "--out", "c.manifest.json"],
+         "--out 'c.manifest.json' would overwrite --config 'c.manifest.json'"),
+    ], ids=["pad", "another spelling", "a hard link", "a symbolic link", "rescore",
+            "remote config", "audit log and out", "audit log and in", "manifest and in",
+            "manifest and config", "config"])
+    def test_an_output_that_is_an_input(self, files, capsys, argv, error):
+        # pad once replaced its input, and a failed rescore its stored result
+        before = {p.name: p.read_bytes() for p in files.iterdir()}
+        assert cli_main(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert error in err
+        assert {p.name: p.read_bytes() for p in files.iterdir()} == before
+
+    def test_a_rescore_that_fails_keeps_the_stored_result(self, files, capsys):
+        # it once wrote the recomputed result over the stored one, then exited 3
+        stored = json.loads((files / "r.json").read_text())
+        stored["s_at_tau"] = 0.5
+        (files / "r.json").write_text(json.dumps(stored))
+        before = (files / "r.json").read_bytes()
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform",
+                        "--rescore", "r.json", "--out", "r.json") == 2
+        assert (files / "r.json").read_bytes() == before
+        assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform",
+                        "--rescore", "r.json", "--out", "s.json") == 3
+        assert (files / "r.json").read_bytes() == before

@@ -9,13 +9,17 @@ process; argparse's ``SystemExit(2)`` counts as exit 2.
 - The options that size work get only the values their cast or check
   refuses, plus one small valid value: an accepted ``--count 10**12`` runs
   for hours, and a large ``--jobs`` starts that many threads.
-- The path options get a file in a missing directory, a directory, and "".
+- The path options get a file in a missing directory, a directory, and "";
+  ``--config`` also gets a file whose bytes are not UTF-8, which must exit 2.
+- Each command that reads ``--in`` gets a run with ``--out`` equal to it
+  (``train-toy`` on a file of 2x2 games), which must exit 2.
 - Each built-in agent has one spelling, its name: ``AGENT_ALIASES`` (a bare
   ``noisy`` or ``block``, ``kind:``, a parameter on a plain agent, a
   numeral the name does not spell) must exit 2, and each of
   ``CANONICAL_AGENTS`` must exit 0.
 
-Every run must exit 0, 2 or 3, never 1.
+Every run must exit 0, 2 or 3, never 1, and leave the input files' bytes as
+they were.
 """
 
 import os
@@ -45,7 +49,8 @@ AGENT_ALIASES = ("uniform:", "uniform:x", "maximin:", "maximin:x", "oracle:", "o
                  "noisy", "noisy:", "noisy:0.30", "noisy:3e-1",
                  "block", "block:", "block:03", "block:+3")
 
-# one small valid run per command; g.jsonl and r0.json are written first
+# one small valid run per command; g.jsonl, g2.jsonl (2x2 games), r0.json and
+# not_utf8.cfg are written first
 BASE = {
     "gen": {"n": "3", "count": "2", "seed": "1", "out": "x.jsonl"},
     "pad": {"in": "g.jsonl", "kind": "dominated", "target_n": "5", "out": "p.jsonl"},
@@ -93,6 +98,10 @@ def _sweep(command: str):
                 yield _argv(command, {**base, key: spec}), (2,)
     for value in _values("config", None):
         yield _argv(command, {**base, "config": value}), (0, 2, 3)
+    yield _argv(command, {**base, "config": "not_utf8.cfg"}), (2,)
+    if any(key == "in" for key, *_ in cli._COMMANDS[command][2]):
+        src = base.get("in", "g2.jsonl")
+        yield _argv(command, {**base, "in": src, "out": src}), (2,)
 
 
 def _exit_code(argv: list):
@@ -120,14 +129,19 @@ def test_no_option_value_exits_1(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a_directory").mkdir()
     assert cli.main(["gen", "--n", "3", "--count", "2", "--seed", "7", "--out", "g.jsonl"]) == 0
+    assert cli.main(["gen", "--n", "2", "--count", "2", "--seed", "7", "--out", "g2.jsonl"]) == 0
     assert cli.main(["eval", "--in", "g.jsonl", "--agent", "uniform", "--out", "r0.json"]) == 0
+    (tmp_path / "not_utf8.cfg").write_bytes(b"count=2\n\xff\xfe\n")
+    inputs = {name: (tmp_path / name).read_bytes()
+              for name in ("g.jsonl", "g2.jsonl", "r0.json", "not_utf8.cfg")}
     assert _exit_code(_argv(command, BASE[command])) == 0, capsys.readouterr().err
     wrong = []
     runs = list(_sweep(command))
     for argv, codes in runs:
         code = _exit_code(argv)
         capsys.readouterr()
-        if code not in codes:
-            wrong.append((argv, code))
+        changed = [name for name, data in inputs.items() if (tmp_path / name).read_bytes() != data]
+        if code not in codes or changed:
+            wrong.append((argv, code, changed))
     assert wrong == []
     assert len(runs) >= 3 * len(cli._COMMANDS[command][2])

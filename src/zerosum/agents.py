@@ -250,10 +250,23 @@ class BlockSolverAgent:
         return [resp] * k
 
 
-# remote retry r (1-based) waits min(_BACKOFF_MAX_S, _BACKOFF_FIRST_S * 2 ** (r - 1)) seconds
+# remote retry r (1-based) waits min(_BACKOFF_MAX_S, _BACKOFF_FIRST_S * 2 ** (r - 1)) seconds,
+# or, after a 429 or 503 naming a Retry-After in seconds, min(_BACKOFF_MAX_S, that)
 _BACKOFF_FIRST_S = 0.5
 _BACKOFF_MAX_S = 8.0
 _sleep = time.sleep  # every wait goes through this name, so tests can record the waits
+
+
+def _retry_after(exc) -> float | None:
+    """The wait, capped at _BACKOFF_MAX_S, that a 429 or 503 reply's Retry-After
+    header names in whole seconds; None for any other reply or header form (an
+    HTTP date is not read)."""
+    if exc.code not in (429, 503) or exc.headers is None:
+        return None
+    value = (exc.headers.get("Retry-After") or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), _BACKOFF_MAX_S)  # float: no digit limit, a huge value is inf
 
 
 @dataclass(frozen=True)
@@ -295,7 +308,8 @@ class RemoteModelAgent:
 
     Each sample issues {model, messages, temperature, max_tokens, n: 1};
     the bearer token is read from the env var named by config.auth_env.
-    Each retry first backs off (see _BACKOFF_FIRST_S). A 4xx reply other
+    Each retry first backs off (see _BACKOFF_FIRST_S), or waits what a 429
+    or 503 reply's Retry-After asks, capped the same way. A 4xx reply other
     than 429 is not retried. A reply without a string message content is
     retried like a transport error. Samples that exhaust their retry
     budget, or stop on a 4xx reply, become invalid (malformed) responses
@@ -344,10 +358,12 @@ class RemoteModelAgent:
         )
         last_error = None
         wait = _BACKOFF_FIRST_S
+        asked = None  # the wait the last reply's Retry-After named, if any
         for attempt in range(self.config.retries + 1):
             if attempt:
-                _sleep(wait)
+                _sleep(wait if asked is None else asked)
                 wait = min(2 * wait, _BACKOFF_MAX_S)
+                asked = None
             try:
                 with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
                     status, payload = resp.status, resp.read()
@@ -361,6 +377,7 @@ class RemoteModelAgent:
             except urllib.error.HTTPError as exc:  # urlopen raises on 4xx/5xx
                 exc.close()
                 last_error = f"http {exc.code}"
+                asked = _retry_after(exc)
                 if 400 <= exc.code < 500 and exc.code != 429:
                     break  # a client error repeats on every retry
             except (OSError, HTTPException, ValueError, KeyError, IndexError, TypeError) as exc:

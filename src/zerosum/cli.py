@@ -248,12 +248,13 @@ def _digest_file(path: str) -> str:
 
 
 def _write(command: str, cfg: dict, inputs, lines) -> None:
-    """Write lines to --out, each ended by a newline, then its manifest; without --out, nothing."""
+    """Write lines to --out, each ended by a newline, then its manifest, both as
+    UTF-8 whatever the locale, as every reader reads them; without --out, nothing."""
     out = cfg["out"]
     if not out:
         return
     try:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             for line in lines:
                 fh.write(line + "\n")
         # the id names the logical run: it hashes everything except where the
@@ -270,7 +271,7 @@ def _write(command: str, cfg: dict, inputs, lines) -> None:
             "outputs": {out: _digest_file(out)},
             "created_unix": time.time(),
         }
-        with open(out + ".manifest.json", "w") as fh:
+        with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(canonical_json(manifest) + "\n")
     except OSError as exc:  # a path that passed _check_writable: permissions, a full disk
         raise ConfigError(f"cannot write --out {out!r}: {exc}") from None
@@ -312,15 +313,20 @@ def _read_json(path: str):
         raise ConfigError(f"{path}: not JSON: {exc}") from None
 
 
+def _read_record(d):
+    """The game or padded record of one JSON line. Any padrec tag goes to the
+    padded reader, so a line of an older padrec schema is told to pad again."""
+    padded = str(_schema(d)).startswith("padrec/")
+    return (PaddedGameRecord if padded else GameRecord).from_json_dict(d)
+
+
 def _load_records(path: str) -> list:
     records = []
     for line in _lines(path):
         if not line.strip():
             continue
         try:
-            d = json.loads(line)
-            padded = _schema(d) == PaddedGameRecord.schema
-            records.append((PaddedGameRecord if padded else GameRecord).from_json_dict(d))
+            records.append(_read_record(json.loads(line)))
         except (ValueError, KeyError) as exc:  # not JSON, or not a valid record
             raise ConfigError(f"{path}: bad record: {exc}") from None
     if not records:
@@ -741,6 +747,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # stdout keeps the locale's encoding; what it cannot encode (report's ±
+    # on an ASCII terminal) is printed escaped instead of raising
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = _build_parser().parse_args(argv)
     handler, _, options = _COMMANDS[args.command]
     try:

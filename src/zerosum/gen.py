@@ -25,12 +25,13 @@ equals the rebuilt record's JSON form, so whatever they accept reads back
 as written:
 
 - a game record is rebuilt from its ``spec`` and ``raw.entries``;
-- a padded record from its ``base`` (read as a game record), ``kind`` and
-  ``padded.n``; every candidate pad reads the base record's one cached LP
-  solution. The shuffle flag is not stored: when both maps are the
-  identity prefix [0..k-1] the unshuffled dominated pad is tried first and
-  the shuffled one second (a shuffle can leave both maps the identity);
-  otherwise only the shuffled one.
+- a padded record from its ``base`` (read as a game record), ``kind``,
+  ``padded.n`` and the shuffle flag its ``id`` names. A padded record's id
+  is the digest of its recipe (kind, base id, padded size, shuffle flag),
+  so the reader rebuilds only the pad whose recipe id matches the line's
+  id; when none matches, the pad its maps imply (shuffled unless both are
+  the identity prefix [0..k-1]), so the error names the first key that
+  differs. Either way every entry is compared.
 """
 
 from __future__ import annotations
@@ -123,23 +124,18 @@ class GameRecord:
             rec = _game_record(GameSpec.from_json_dict(d["spec"]), d["raw"]["entries"])
         except TypeError as exc:  # d or its raw is not a JSON object
             raise ContractViolation(f"bad {cls.__name__}: {exc}") from None
-        return _rebuilt("record", d, (rec,))
+        return _rebuilt("record", d, rec)
 
 
-def _rebuilt(what: str, d: dict, records):
-    """The first of records whose JSON form equals d, as JSON values (5 for 5.0
-    and -0.0 for 0.0 are equal); else ContractViolation naming the first
-    top-level key where d differs from the first record's form. records may be
-    a generator, so a later candidate is built only when needed."""
-    first = None
-    for rec in records:
-        expected = rec.to_json_dict()
-        if d == expected:
-            return rec
-        if first is None:
-            first = expected
-    key = next(k for k in sorted(d.keys() | first.keys())
-               if k not in d or k not in first or d[k] != first[k])
+def _rebuilt(what: str, d: dict, rec):
+    """rec, if its JSON form equals d as JSON values (5 for 5.0 and -0.0 for
+    0.0 are equal); else ContractViolation naming the first top-level key
+    where d differs from it."""
+    expected = rec.to_json_dict()
+    if d == expected:
+        return rec
+    key = next(k for k in sorted(d.keys() | expected.keys())
+               if k not in d or k not in expected or d[k] != expected[k])
     raise ContractViolation(f"{what} {d.get('id')}: {key} does not match its contents")
 
 
@@ -197,7 +193,7 @@ def make_eval_set(
 class PaddedGameRecord:
     """A base game embedded in a larger matrix, with placement maps."""
 
-    schema = "padrec/1"
+    schema = "padrec/2"
 
     base: GameRecord
     padded: PayoffMatrix
@@ -220,26 +216,27 @@ class PaddedGameRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PaddedGameRecord":
-        """The record its writer rebuilds from d's base, kind and padded size, if
-        d equals its JSON form: a padded record reads back only as pad writes
-        it. How the unstored shuffle flag is picked: see the module docstring."""
+        """The record its writer rebuilds from d's base, kind, padded size and
+        the shuffle flag its id names, if d equals its JSON form: a padded
+        record reads back only as pad writes it (see the module docstring)."""
         try:
             base = GameRecord.from_json_dict(d["base"])
-            kind, target_n = d.get("kind"), d["padded"]["n"]
+            kind, target_n, rid = d.get("kind"), d["padded"]["n"], d.get("id")
             identity = d.get("row_map") == d.get("col_map") == list(range(base.n))
         except TypeError as exc:  # d or its padded is not a JSON object
             raise ContractViolation(f"bad {cls.__name__}: {exc}") from None
+        if d.get("schema") != cls.schema:
+            raise ContractViolation(f"padded record {rid}: schema {d.get('schema')!r} is not "
+                                    f"{cls.schema}; run `pad` again on its base games")
         if kind not in PAD_KINDS:
-            raise ContractViolation(f"padded record {d.get('id')}: unknown kind {kind!r}")
+            raise ContractViolation(f"padded record {rid}: unknown kind {kind!r}")
         if type(target_n) is not int:
-            raise ContractViolation(
-                f"padded record {d.get('id')}: padded n {target_n!r} is not an int")
+            raise ContractViolation(f"padded record {rid}: padded n {target_n!r} is not an int")
         if kind == "random":
-            rebuilt = (random_pad(base, target_n),)
-        else:
-            rebuilt = (dominated_pad(base, target_n, shuffle)
-                       for shuffle in ((False, True) if identity else (True,)))
-        return _rebuilt("padded record", d, rebuilt)
+            return _rebuilt("padded record", d, random_pad(base, target_n))
+        shuffle = next((s for s in (False, True)
+                        if _padded_id(kind, base, target_n, s) == rid), not identity)
+        return _rebuilt("padded record", d, dominated_pad(base, target_n, shuffle))
 
 
 def _pad_base_n(base: GameRecord, target_n: int) -> int:
@@ -251,8 +248,14 @@ def _pad_base_n(base: GameRecord, target_n: int) -> int:
     return base.n
 
 
+def _padded_id(kind: str, base: GameRecord, target_n: int, shuffle: bool) -> str:
+    """A padded record's id: the digest of the recipe its entries are a pure function of."""
+    return content_digest({"kind": kind, "base": base.id, "n": target_n,
+                           "shuffle": bool(shuffle)})
+
+
 def _padded_record(base: GameRecord, padded: np.ndarray, kind: str,
-                   row_map, col_map) -> PaddedGameRecord:
+                   row_map, col_map, shuffle: bool) -> PaddedGameRecord:
     """The record of padded entries that hold base at (row_map, col_map).
 
     The reference pair is base.equilibrium's pair zero-extended to the
@@ -277,7 +280,7 @@ def _padded_record(base: GameRecord, padded: np.ndarray, kind: str,
         reference_pair=reference,
         certificate={"base_value": eq.value,
                      "reference_exploit": raw_exploit(matrix, reference)},
-        id=content_digest({"kind": kind, "base": base.id, "padded": padded.tolist()}),
+        id=_padded_id(kind, base, matrix.n, shuffle),
     )
 
 
@@ -311,7 +314,7 @@ def dominated_pad(base: GameRecord, target_n: int, shuffle: bool = False) -> Pad
         shuffled = np.empty_like(padded)
         shuffled[np.ix_(row_pos, col_pos)] = padded
         padded = shuffled
-    rec = _padded_record(base, padded, "dominated", row_pos[:k], col_pos[:k])
+    rec = _padded_record(base, padded, "dominated", row_pos[:k], col_pos[:k], shuffle)
     cert = rec.certificate
     padded_eq = solve_zero_sum_lp(rec.padded)
     value_gap = abs(padded_eq.value - cert["base_value"])
@@ -343,4 +346,4 @@ def random_pad(base: GameRecord, target_n: int) -> PaddedGameRecord:
     )
     padded = _draw_raw(surround_spec)
     padded[:k, :k] = base.matrix.entries
-    return _padded_record(base, padded, "random", range(k), range(k))
+    return _padded_record(base, padded, "random", range(k), range(k), False)

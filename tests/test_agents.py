@@ -425,7 +425,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             self.server.requests.append(
                 {"auth": self.headers.get("Authorization"), "body": body}
             )
-            status, payload = (
+            status, payload, *headers = (
                 self.server.script.pop(0) if self.server.script else self.server.fallback
             )
             self.server.in_flight += 1
@@ -438,6 +438,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -448,6 +450,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 @contextlib.contextmanager
 def scripted_server(script=None, fallback_content='{"row": [1, 0], "col": [0, 1]}', hold=1):
     """A local chat endpoint answering from script, then with fallback_content.
+    A script entry is (status, payload) or (status, payload, {header: value}).
 
     server.peak is the most requests it held at once. Each request is held
     until the peak reaches `hold` (at most about 2 s), so a client that can
@@ -599,3 +602,47 @@ class TestBackoff:
     def test_the_wait_is_capped(self, waits):
         assert self.ask([(500, {"error": "down"})] * 7, retries=6) == (1, 7)
         assert waits == [0.5, 1, 2, 4, 8, 8]
+
+
+class TestRetryAfter:
+    """A 429 or 503 whose Retry-After is whole seconds waits that long, capped at
+    8 s, for that retry only; any other reply or header form keeps the schedule."""
+
+    def ask(self, script, retries=2):
+        with scripted_server(script=script) as (url, server):
+            agent = RemoteModelAgent(RemoteModelConfig(endpoint=url, model="m", retries=retries))
+            agent.propose(GAME, 1)
+        return agent.transport_failures, len(server.requests)
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_seconds_are_waited(self, waits, status):
+        assert self.ask([(status, {"error": "busy"}, {"Retry-After": "3"})]) == (0, 2)
+        assert waits == [3]
+
+    def test_zero_seconds(self, waits):
+        assert self.ask([(429, {"error": "busy"}, {"Retry-After": "0"})]) == (0, 2)
+        assert waits == [0]
+
+    @pytest.mark.parametrize("seconds", ["20", "9" * 5000], ids=["20", "5000 digits"])
+    def test_the_wait_is_capped(self, waits, seconds):
+        assert self.ask([(503, {"error": "busy"}, {"Retry-After": seconds})]) == (0, 2)
+        assert waits == [8]
+
+    def test_the_schedule_resumes_after_it(self, waits):
+        script = [(503, {"error": "busy"}, {"Retry-After": "3"}), (500, {"error": "boom"}),
+                  (429, {"error": "busy"})]
+        assert self.ask(script, retries=3) == (0, 4)
+        assert waits == [3, 1, 2]
+
+    @pytest.mark.parametrize("value", ["Wed, 21 Oct 2015 07:28:00 GMT", "1.5", "-1", " ", "x"])
+    def test_other_forms_keep_the_schedule(self, waits, value):
+        assert self.ask([(429, {"error": "busy"}, {"Retry-After": value})]) == (0, 2)
+        assert waits == [0.5]
+
+    def test_other_statuses_keep_the_schedule(self, waits):
+        assert self.ask([(500, {"error": "boom"}, {"Retry-After": "3"})]) == (0, 2)
+        assert waits == [0.5]
+
+    def test_a_client_error_still_stops(self, waits):
+        assert self.ask([(400, {"error": "bad"}, {"Retry-After": "3"})]) == (1, 1)
+        assert waits == []

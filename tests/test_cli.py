@@ -17,6 +17,7 @@ import pytest
 
 from test_agents import scripted_server
 from zerosum import ConfigError, cli
+from zerosum.core import content_digest
 
 
 CLI = [sys.executable, "-m", "zerosum.cli"]
@@ -140,7 +141,7 @@ class TestSolveAndPad:
                   "--out", "padded.jsonl", cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         rows = [json.loads(l) for l in (tmp_path / "padded.jsonl").read_text().splitlines()]
-        assert all(r["schema"] == "padrec/1" for r in rows)
+        assert all(r["schema"] == "padrec/2" for r in rows)
         ev = run("eval", "--in", "padded.jsonl", "--agent", "block:3",
                  "--k", 1, "--out", "block.json", cwd=tmp_path)
         assert ev.returncode == 0, ev.stderr
@@ -671,8 +672,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("kind, edit, error", [
         ("dominated", lambda r: r["certificate"].update(padded_value=99.0),
          "certificate does not match its contents"),
-        # the maps are no longer the identity, so only the shuffled pad is rebuilt
-        ("dominated", lambda r: r.update(row_map=[4, 3, 2]), "col_map does not match its contents"),
+        # the id names the unshuffled pad, so that pad is rebuilt and its row_map differs
+        ("dominated", lambda r: r.update(row_map=[4, 3, 2]), "row_map does not match its contents"),
         ("dominated", lambda r: r.update(col_map=[0, 0, 1]), "col_map does not match its contents"),
         ("random", lambda r: r.update(row_map=[0, 1, 5]), "row_map does not match its contents"),
         ("random", lambda r: r.update(kind="shifted"), "unknown kind 'shifted'"),
@@ -700,11 +701,19 @@ class TestMalformedInput:
             base_value=math.nextafter(r["certificate"]["base_value"], math.inf)),
          "certificate does not match its contents"),
         ("dominated", lambda r: r["padded"].update(n=65), "target size 65 must be at most 64"),
+        # the id is the recipe's, not the entries', so the rebuilt entries are compared
+        ("dominated", lambda r: r["padded"]["entries"][4].__setitem__(
+            4, math.nextafter(r["padded"]["entries"][4][4], math.inf)),
+         "padded does not match its contents"),
+        ("random", lambda r: r["padded"]["entries"][4].__setitem__(
+            4, math.nextafter(r["padded"]["entries"][4][4], math.inf)),
+         "padded does not match its contents"),
     ], ids=["padded_value", "row_map moved", "col_map repeats", "row_map out of range",
             "kind", "extra certificate key", "missing certificate key", "int certificate value",
             "base_value", "reference_exploit", "pair outside the maps", "pair off equilibrium",
             "pair weight beyond float range", "random base_value one ulp up",
-            "dominated base_value one ulp up", "padded n above the size limit"])
+            "dominated base_value one ulp up", "padded n above the size limit",
+            "dominated entry one ulp up", "random entry one ulp up"])
     def test_solve_on_an_edited_padded_record(self, games, capsys, kind, edit, error):
         assert cli_main("pad", "--in", "g.jsonl", "--kind", kind, "--target-n", 5,
                         "--out", "p.jsonl") == 0
@@ -715,6 +724,21 @@ class TestMalformedInput:
         capsys.readouterr()
         assert cli_main("solve", "--in", "bad.jsonl") == 2
         assert error in capsys.readouterr().err
+
+    def test_a_padrec_1_record_asks_to_pad_again(self, games):
+        # written before padded ids named their recipe: the id was the digest of the entries
+        assert cli_main("pad", "--in", "g.jsonl", "--kind", "dominated", "--target-n", 5,
+                        "--out", "p.jsonl") == 0
+        record = json.loads((games / "p.jsonl").read_text().splitlines()[0])
+        record["schema"] = "padrec/1"
+        record["id"] = content_digest({"kind": "dominated", "base": record["base"]["id"],
+                                       "padded": record["padded"]["entries"]})
+        (games / "old.jsonl").write_text(json.dumps(record) + "\n")
+        res = run("eval", "--in", "old.jsonl", "--agent", "uniform", cwd=games)
+        assert res.returncode == 2
+        assert res.stderr == (
+            f"configuration error: old.jsonl: bad record: padded record {record['id']}: "
+            "schema 'padrec/1' is not padrec/2; run `pad` again on its base games\n")
 
     def test_solve_on_a_padded_record_whose_pair_overflows(self, games):
         assert cli_main("pad", "--in", "g.jsonl", "--kind", "random", "--target-n", 5,

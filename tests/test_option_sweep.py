@@ -20,9 +20,16 @@ process; argparse's ``SystemExit(2)`` counts as exit 2.
 
 Every run must exit 0, 2 or 3, never 1, and leave the input files' bytes as
 they were.
+
+Each command's valid run, and ``report`` to stdout, also runs in a
+subprocess under an ASCII locale (``LC_ALL=C``, no UTF-8 mode or locale
+coercion), since the locale is read at start-up: each must exit 0, and what
+it writes to ``--out`` must be the bytes it writes under the test's locale.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -145,3 +152,26 @@ def test_no_option_value_exits_1(command, tmp_path, monkeypatch, capsys):
             wrong.append((argv, code, changed))
     assert wrong == []
     assert len(runs) >= 3 * len(cli._COMMANDS[command][2])
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize("command", [*cli._COMMANDS, "report to stdout"])
+def test_no_command_exits_1_under_an_ascii_locale(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen", "--n", "3", "--count", "2", "--seed", "7", "--out", "g.jsonl"]) == 0
+    assert cli.main(["eval", "--in", "g.jsonl", "--agent", "uniform", "--out", "r0.json"]) == 0
+    options = dict(BASE[command]) if command in BASE else {"in": "r0.json"}
+    argv = _argv(command.split()[0], options)
+    assert cli.main(argv) == 0
+    written = (tmp_path / options["out"]).read_bytes() if "out" in options else None
+    capsys.readouterr()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIOENCODING"))}
+    env.update(ASCII_LOCALE, PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+    res = subprocess.run([sys.executable, "-m", "zerosum.cli", *argv], env=env,
+                         capture_output=True, timeout=300)
+    assert res.returncode == 0, res.stderr.decode("ascii", "backslashreplace")
+    if written is not None:
+        assert (tmp_path / options["out"]).read_bytes() == written

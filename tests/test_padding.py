@@ -22,7 +22,7 @@ from zerosum import (
     uniform_pair,
 )
 from zerosum import gen
-from zerosum.core import canonical_json
+from zerosum.core import canonical_json, content_digest
 from zerosum.gen import DISTRIBUTIONS
 from zerosum.solver import CERT_TOL
 
@@ -223,16 +223,43 @@ class TestBaseSolution:
         assert solves == {3: 1, 5: 2, 7: 2, 9: 2}
 
     def test_reading_a_dominated_record_solves_its_base_once(self, solves):
-        # shuffled, yet both maps are the identity: the reader tries two pads
+        # shuffled, yet both maps are the identity: the id names the shuffle,
+        # so the reader rebuilds one pad and solves its padded game once
         rec = dominated_pad(sample_game(GameSpec(n=2, seed=394)), 4, shuffle=True)
         assert rec.row_map == rec.col_map == (0, 1)
         d = json.loads(canonical_json(rec.to_json_dict()))
         solves.clear()
         back = PaddedGameRecord.from_json_dict(d)
         assert back.id == rec.id
-        assert solves == {2: 1, 4: 2}
+        assert solves == {2: 1, 4: 1}
         dominated_pad(back.base, 6)
-        assert solves == {2: 1, 4: 2, 6: 1}
+        assert solves == {2: 1, 4: 1, 6: 1}
+
+
+class TestRecipeId:
+    """A padded record's id is the digest of (kind, base id, padded size, shuffle)."""
+
+    @pytest.mark.parametrize("pad, kind, shuffle", [
+        (lambda b: dominated_pad(b, 6), "dominated", False),
+        (lambda b: dominated_pad(b, 6, shuffle=True), "dominated", True),
+        (lambda b: random_pad(b, 6), "random", False),
+    ], ids=["dominated", "dominated shuffle", "random"])
+    def test_is_the_digest_of_the_recipe(self, pad, kind, shuffle):
+        base = base_game(seed=1)
+        recipe = {"kind": kind, "base": base.id, "n": 6, "shuffle": shuffle}
+        assert pad(base).id == content_digest(recipe)
+
+    def test_each_part_of_the_recipe_moves_it(self):
+        a, b = base_game(seed=1), base_game(seed=2)
+        ids = {dominated_pad(a, 6).id, dominated_pad(a, 6, shuffle=True).id,
+               dominated_pad(a, 7).id, dominated_pad(b, 6).id, random_pad(a, 6).id}
+        assert len(ids) == 5
+
+    def test_the_entries_do_not_enter_it(self):
+        base = base_game(seed=1)
+        rec = random_pad(base, 6)
+        other = gen._padded_record(base, np.zeros((6, 6)), "random", range(3), range(3), False)
+        assert other.id == rec.id
 
 
 class TestPaddedSerialization:

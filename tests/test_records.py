@@ -89,9 +89,9 @@ PINNED = {
     "gamerec_sparse":
         "617ab55ccacf557f3b7bb627f45ac77d3cc40edf44a8f2eff06be304b4718e8d",
     "padrec_dominated_shuffled":
-        "70b424c00f1ecda7b2573d36ded301e33da0ed9b5a14457eab89ec2cbaa45cf7",
+        "b4fe74b3f85f10c0aa6ff9564345aeb1105c2de442bf51c39f9e81807a3cf4fa",
     "padrec_random":
-        "4235e15000ea784b184fa7cadd9edf3e01115b08e74acc42e3d2fa697fa39891",
+        "67fc797eac723978c6c35cfe09bee57b5293518dd360d75111c0665e601dc328",
     "evalres_invalid":
         "660894da174fa161e58ffa43ae412ff7a4a4674fd700fd9d751855a273a4e4fc",
     "audit_permutation":

@@ -1,10 +1,13 @@
 """Agents that propose strategy pairs, and the text interface around them.
 
 An agent is anything with a ``name`` and ``propose(game, k) ->
-list[AgentResponse]``. Built-in agents (uniform, maximin, oracle,
-noisy, block solver) are deterministic given (game, seed) and emit
-their pair through the same serialize -> parse path used for model output,
-so every reward in the system is computed from raw text.
+list[AgentResponse]``. The oracle and noisy agents take a game record (a
+``GameRecord`` or ``PaddedGameRecord``) and answer its own ``equilibrium``;
+the others read only its ``n``, ``matrix`` and ``id``. Built-in agents
+(uniform, maximin, oracle, noisy, block solver) are deterministic given
+(game, seed) and emit their pair through the same serialize -> parse path
+used for model output, so every reward in the system is computed from raw
+text.
 
 The remote agent sends one fixed prompt (``build_prompt``): the game size,
 the normalized payoff matrix as a nested JSON list of repr floats, and the
@@ -169,15 +172,18 @@ class MaximinAgent:
 
 
 class OracleAgent:
+    """Answers a game record's own LP solution (``game.equilibrium``)."""
+
     name = "oracle"
 
     def propose(self, game, k: int) -> list[AgentResponse]:
-        return _answer(solve_zero_sum_lp(game.matrix).pair, game.n, k)
+        return _answer(game.equilibrium.pair, game.n, k)
 
 
 class NoisyOracleAgent:
     """Oracle pair plus seeded gaussian noise of scale sigma, re-projected.
 
+    The oracle pair is the game record's own LP solution (``game.equilibrium``).
     Sample s of game g perturbs with the stream keyed by
     child_seed(seed, int(game.id, 16), s); the raw (unprojected) weights are
     serialized so parsing does the projection, like model output.
@@ -191,7 +197,7 @@ class NoisyOracleAgent:
         self.name = f"noisy:{self.sigma!r}"
 
     def propose(self, game, k: int) -> list[AgentResponse]:
-        pair = solve_zero_sum_lp(game.matrix).pair
+        pair = game.equilibrium.pair
         if self.sigma == 0.0:
             return _answer(pair, game.n, k)
         out = []

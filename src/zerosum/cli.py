@@ -81,7 +81,6 @@ from .rng import root_seed
 from .solver import (
     CERT_TOL,
     SUPPORT_ENUM_MAX_N,
-    solve_zero_sum_lp,
     support_enumeration,
 )
 from .theory import (
@@ -422,7 +421,7 @@ def cmd_solve(cfg: dict) -> int:
     for rec in records:
         row = {"game_id": rec.id, "n": rec.n, "method": method}
         if method in ("lp", "both"):
-            eq = solve_zero_sum_lp(rec.matrix)
+            eq = rec.equilibrium
             row.update(_solution(eq))
         if method in ("support", "both"):
             se = support_enumeration(rec.matrix)

@@ -93,8 +93,18 @@ class GameSpec:
 DEFAULT_TEMPLATE = GameSpec(n=2)
 
 
+class _SolvesItsLP:
+    """A record that owns its LP solution (both record classes)."""
+
+    @functools.cached_property
+    def equilibrium(self) -> Equilibrium:
+        """The LP solution of matrix, solved once on first use: the record is
+        immutable and the LP selector a fixed function of its matrix."""
+        return solve_zero_sum_lp(self.matrix)
+
+
 @dataclass(frozen=True, eq=False)
-class GameRecord:
+class GameRecord(_SolvesItsLP):
     """A generated game: spec, raw draw, and the matrix agents are scored on."""
 
     schema = "gamerec/1"
@@ -107,12 +117,6 @@ class GameRecord:
     @property
     def n(self) -> int:
         return self.spec.n
-
-    @functools.cached_property
-    def equilibrium(self) -> Equilibrium:
-        """The LP solution of matrix, solved once on first use: the record is
-        immutable and the LP selector a fixed function of its matrix."""
-        return solve_zero_sum_lp(self.matrix)
 
     to_json_dict = field_dict
 
@@ -190,7 +194,7 @@ def make_eval_set(
 
 
 @dataclass(frozen=True, eq=False)
-class PaddedGameRecord:
+class PaddedGameRecord(_SolvesItsLP):
     """A base game embedded in a larger matrix, with placement maps."""
 
     schema = "padrec/2"
@@ -294,7 +298,9 @@ def dominated_pad(base: GameRecord, target_n: int, shuffle: bool = False) -> Pad
     the new-row block ((N-k) x N), then, when shuffle is set, the row and
     column position permutations. Every record is re-verified: the
     zero-extended ``base.equilibrium`` must certify on the padded game and
-    the padded LP value must match its value at 1e-8, else ConstructionError.
+    the returned record's own ``equilibrium`` value must match its value at
+    1e-8, else ConstructionError. That solve stays cached on the record, and
+    its value is the certificate's ``padded_value``.
     """
     k = _pad_base_n(base, target_n)
     rng = generator(child_seed(base.spec.seed, _DOMINATED_TAG, target_n))
@@ -316,15 +322,15 @@ def dominated_pad(base: GameRecord, target_n: int, shuffle: bool = False) -> Pad
         padded = shuffled
     rec = _padded_record(base, padded, "dominated", row_pos[:k], col_pos[:k], shuffle)
     cert = rec.certificate
-    padded_eq = solve_zero_sum_lp(rec.padded)
-    value_gap = abs(padded_eq.value - cert["base_value"])
+    value_gap = abs(rec.equilibrium.value - cert["base_value"])
     if cert["reference_exploit"] > CERT_TOL or value_gap > CERT_TOL:
         raise ConstructionError(
             f"dominated pad failed verification (exploit {cert['reference_exploit']:.3e}, "
             f"value gap {value_gap:.3e})",
             instance=padded,
         )
-    return replace(rec, certificate={**cert, "padded_value": padded_eq.value})
+    cert["padded_value"] = rec.equilibrium.value
+    return rec
 
 
 def random_pad(base: GameRecord, target_n: int) -> PaddedGameRecord:

@@ -201,11 +201,17 @@ def rescore(result: EvalResult, games) -> EvalResult:
     """Recompute an EvalResult from its persisted raw texts alone.
 
     Parsing and scoring reuse the exact evaluation path, so the output
-    matches the original run bit for bit.
+    matches the original run bit for bit. A stored game must hold k samples.
     """
     if not result.games:
         raise ContractViolation("the stored result holds no games to rescore")
     _check_k_tau(result.k, result.tau)
+    for gr in result.games:
+        for name in ("raw_texts", "rewards", "invalid"):
+            count = len(getattr(gr, name))
+            if count != result.k:
+                raise ContractViolation(
+                    f"game {gr.game_id}: {name} holds {count} samples, not k = {result.k}")
     by_id = {g.id: g for g in games}
     try:
         ordered = [by_id[gr.game_id] for gr in result.games]

@@ -28,6 +28,11 @@ from .rng import child_seed, generator, standard_normal
 from .solver import solve_zero_sum_lp
 
 LIPSCHITZ_SLACK = 1e-9
+# child_seed tags under a check's root seed, one per stream family, so that no
+# two checks of one verify-theorems run draw from the same stream
+_LIPSCHITZ_TAG = 3
+_CANCELLATION_TAG = 5
+_TRAIN_TAG = 13
 DISCONTINUITY_EPS = tuple(10.0 ** -k for k in range(1, 9))  # the scaled-pennies path
 # the one matching-pennies game: the selector path scales it; the frozen-training
 # check and train-toy without --in train on it
@@ -69,7 +74,7 @@ def check_residual_lipschitz(trials: int = 500, seed: int = 0) -> LipschitzRepor
     max_ratio = 0.0
     max_delta = 0.0
     for t in range(trials):
-        rng = generator(child_seed(seed, 3, t))
+        rng = generator(child_seed(seed, _LIPSCHITZ_TAG, t))
         n = 2 + t % 9
         a = standard_normal(rng, n * n).reshape(n, n)
         if t % 2 == 0:
@@ -228,7 +233,7 @@ def grpo_cancellation_check(trials: int = 200, seed: int = 0) -> CancellationRep
         raise ContractViolation("need at least one trial")
     worst = 0.0
     for t in range(trials):
-        rng = generator(child_seed(seed, 5, t))
+        rng = generator(child_seed(seed, _CANCELLATION_TAG, t))
         g = int(rng.integers(1, 17))
         if t % 2 == 0:
             r = standard_normal(rng, g)
@@ -328,7 +333,8 @@ def toy_grpo_train(
     logits survive and "bitwise unchanged" holds literally.
 
     Both modes consume identical random draws, so their trajectories are
-    comparable step by step.
+    comparable step by step: group g of step s draws from the stream keyed
+    child_seed(seed, _TRAIN_TAG, s, g).
     """
     if mode not in ("cooperative", "role_merged"):
         raise ContractViolation(f"unknown training mode {mode!r}")
@@ -359,7 +365,7 @@ def toy_grpo_train(
         rewards_seen = []
         exploits_seen = []
         for group in range(accumulate_groups):
-            rng = generator(child_seed(seed, step, group))
+            rng = generator(child_seed(seed, _TRAIN_TAG, step, group))
             rows = _sample_indices(rng, probs, g)
             cols = _sample_indices(rng, probs, g)
             payoffs = np.empty(g)

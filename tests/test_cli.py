@@ -415,12 +415,12 @@ def test_manifest_ids_and_configs_are_pinned(tmp_path, monkeypatch, capsys):
 # gen --n 2 --count 3 --seed 4 first
 TRAIN_TOY_PINS = [
     (["--mode", "cooperative", "--steps", 60, "--seed", 3],
-     "c29dd8f3d78db1f09a720f105c0e3c0e1dcc9cd11a24012706345474a0e4c496"),
+     "ceca612b5a6f90f0393d460625cfcb316bb2aebf14818e98d532f56d35d18f9e"),
     (["--mode", "role_merged", "--steps", 25, "--seed", 3],
-     "675ded362368f5d7f948a1491e5e9ad337e0f3ca58f171c117a2a51100e84095"),
+     "8300cf58a190b315e79fbb52db0a5e4def13d71a22ce0efd2b80059ae2a3b6fc"),
     (["--in", "g2.jsonl", "--index", 2, "--steps", 40, "--seed", 5,
       "--accumulate-groups", 2],
-     "0c30a5c1751aa15528f93369ad83bc9eaa76a004878c4800868bf459266a0cd5"),
+     "75407a7344f3e88e110a7323daf2998265e2a2320e755bcc5d6c7da31efd3d44"),
 ]
 
 
@@ -600,6 +600,13 @@ def test_parser_is_built_once_and_answers_like_a_fresh_one(tmp_path, monkeypatch
     assert cli._build_parser() is cli._build_parser()
 
 
+def _resize_samples(result, size):
+    """Cut or repeat the first game's stored samples to size items."""
+    game = result["games"][0]
+    for key in ("raw_texts", "rewards", "invalid"):
+        game[key] = (game[key] * 3)[:size]
+
+
 class TestMalformedInput:
     """Input that cannot be read as the record it claims to be, and counts
     below their floor, are input errors: exit 2, never a traceback."""
@@ -769,7 +776,13 @@ class TestMalformedInput:
         (lambda r: r.update(tau=1.5), "tau must be in (0, 1), got 1.5"),
         (lambda r: r["games"][0].update(best_sample_index="0"),
          "bad GameResult: best_sample_index has the wrong type: '0'"),
-    ], ids=["null raw text", "int raw text", "k zero", "tau above 1", "string sample index"])
+        # a cut game once rescored "exactly", an empty one raised IndexError,
+        # and a tripled one wrote valid_rate 3.0 before it exited 3
+        (lambda r: _resize_samples(r, 1), "raw_texts holds 1 samples, not k = 2"),
+        (lambda r: _resize_samples(r, 0), "raw_texts holds 0 samples, not k = 2"),
+        (lambda r: _resize_samples(r, 6), "raw_texts holds 6 samples, not k = 2"),
+    ], ids=["null raw text", "int raw text", "k zero", "tau above 1", "string sample index",
+            "one sample", "no samples", "tripled samples"])
     def test_rescore_of_an_edited_result(self, games, capsys, edit, error):
         assert cli_main("eval", "--in", "g.jsonl", "--agent", "uniform", "--k", 2,
                         "--out", "r.json") == 0

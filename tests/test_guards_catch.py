@@ -1,0 +1,150 @@
+"""Each guard is shown to catch the fault it guards against.
+
+One table of (guard, mutant, expected failure). A row's ``prepare`` builds
+the guard's input with the package as it is, its ``check`` runs the guard's
+own check and names the outcome ("ok" when it passes), and its mutant
+patches one function for the length of one case. Every guard must pass
+without its mutant and fail, as named, with it: a guard whose check has
+drifted into a no-op fails here.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from zerosum import _kernels, agents, cli, gen, solver
+from zerosum.agents import NoisyOracleAgent
+from zerosum.errors import ConstructionError, SolverError
+from zerosum.gen import GameSpec, dominated_pad, make_eval_set, sample_game
+from zerosum.harness import invariance_audit
+
+
+def _outcome(check, state):
+    """check's outcome on state, or the name of the guard error it raised."""
+    try:
+        return check(state)
+    except (SolverError, ConstructionError) as exc:
+        return type(exc).__name__
+
+
+# the certificate: every LP solution is re-checked at 1e-8
+
+def _lp_prepare(tmp_path):
+    return sample_game(GameSpec(n=5, distribution="gaussian", seed=3)).matrix
+
+
+def _lp_check(matrix):
+    solver.solve_zero_sum_lp(matrix)
+    return "ok"
+
+
+def _nudge_y(monkeypatch):
+    kernel = solver.lp_kernel
+
+    def nudged(ap, max_iter):
+        status, y, *rest = kernel(ap, max_iter)
+        return (status, y + 1e-6, *rest)
+
+    monkeypatch.setattr(solver, "lp_kernel", nudged)
+
+
+# the dominated pad: its own LP value must equal the base game's at 1e-8
+
+def _pad_prepare(tmp_path):
+    base = sample_game(GameSpec(n=3, seed=4))
+    base.equilibrium  # solved unpatched, so only the padded solve is off
+    return base
+
+
+def _pad_check(base):
+    dominated_pad(base, 8, shuffle=True)
+    return "ok"
+
+
+def _off_value(monkeypatch):
+    solve = gen.solve_zero_sum_lp
+
+    def off(matrix):
+        eq = solve(matrix)
+        return replace(eq, value=eq.value + 1e-6)
+
+    monkeypatch.setattr(gen, "solve_zero_sum_lp", off)
+
+
+# exact permutation equivariance: the scoring kernel sums in sorted order
+
+def _audit_prepare(tmp_path):
+    games = [g for n in (3, 5, 8)
+             for g in make_eval_set(n, 40, GameSpec(n=2, distribution="gaussian"), eval_seed=1)]
+    for g in games:
+        g.equilibrium  # solved unpatched: the audit alone runs under the mutant
+    return games
+
+
+def _audit_check(games):
+    [rep] = invariance_audit(NoisyOracleAgent(0.3, seed=1), games, kinds=("permutation",))
+    return "ok" if rep.ok else "not ok"
+
+
+def _storage_order_sums(monkeypatch):
+    def storage_order(a, p, q):
+        aq = (a * q[..., None, :]).cumsum(axis=-1)[..., -1]
+        pa = (a.swapaxes(-1, -2) * p[..., None, :]).cumsum(axis=-1)[..., -1]
+        v = (p * aq).cumsum(axis=-1)[..., -1]
+        return aq.max(axis=-1), pa.min(axis=-1), v
+
+    monkeypatch.setattr(_kernels, "exploit_terms_batch", storage_order)
+
+
+# bit-exact rescoring: a stored result is reproduced from its raw texts
+
+def _rescore_prepare(tmp_path):
+    def run(*argv):
+        assert cli.main([str(a) for a in argv]) == 0
+
+    run("gen", "--n", 4, "--count", 3, "--seed", 2, "--out", tmp_path / "g.jsonl")
+    run("eval", "--in", tmp_path / "g.jsonl", "--agent", "noisy:0.3", "--k", 2, "--seed", 1,
+        "--out", tmp_path / "r.json")
+    return tmp_path
+
+
+def _rescore_check(tmp_path):
+    rc = cli.main(["eval", "--in", str(tmp_path / "g.jsonl"), "--agent", "noisy:0.3",
+                   "--rescore", str(tmp_path / "r.json")])
+    return "ok" if rc == 0 else f"exit {rc}"
+
+
+def _float32_weights(monkeypatch):
+    as_weights = agents._as_weights
+
+    def rounded(value, n):
+        weights, error = as_weights(value, n)
+        if weights is not None:
+            weights = weights.astype(np.float32).astype(np.float64)
+        return weights, error
+
+    monkeypatch.setattr(agents, "_as_weights", rounded)
+
+
+# guard -> (prepare, check, mutant, the check's outcome under the mutant)
+GUARDS = {
+    "lp certificate": (_lp_prepare, _lp_check, _nudge_y, "SolverError"),
+    "dominated pad value": (_pad_prepare, _pad_check, _off_value, "ConstructionError"),
+    "permutation audit": (_audit_prepare, _audit_check, _storage_order_sums, "not ok"),
+    "rescore": (_rescore_prepare, _rescore_check, _float32_weights, "exit 3"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_the_guard_passes_without_its_mutant(guard, tmp_path, capsys):
+    prepare, check, _, _ = GUARDS[guard]
+    assert _outcome(check, prepare(tmp_path)) == "ok"
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_the_guard_catches_its_mutant(guard, tmp_path, monkeypatch, capsys):
+    prepare, check, mutant, failure = GUARDS[guard]
+    state = prepare(tmp_path)
+    mutant(monkeypatch)
+    assert _outcome(check, state) == failure

@@ -21,7 +21,8 @@ from zerosum import (
     support_enumeration,
     uniform_pair,
 )
-from zerosum import gen
+from zerosum import agents, cli, gen, harness, solver
+from zerosum.agents import NoisyOracleAgent
 from zerosum.core import canonical_json, content_digest
 from zerosum.gen import DISTRIBUTIONS
 from zerosum.solver import CERT_TOL
@@ -188,8 +189,9 @@ def test_rejects_a_target_above_the_size_limit(pad, target):
 
 class TestBaseSolution:
     """A game record solves its own LP once, on first use, and every pad of it
-    reads that solution. Solves are counted by matrix size where the record
-    looks them up, on the gen module."""
+    reads that solution; a dominated pad's own solve is the one that verified
+    it. Solves are counted by matrix size where the record looks them up, on
+    the gen module."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -234,6 +236,60 @@ class TestBaseSolution:
         assert solves == {2: 1, 4: 1}
         dominated_pad(back.base, 6)
         assert solves == {2: 1, 4: 1, 6: 1}
+
+    def test_a_read_dominated_record_answers_its_equilibrium_unsolved(self, solves):
+        # the solve that verified the pad is the record's own equilibrium
+        rec = dominated_pad(base_game(seed=5), 8, shuffle=True)
+        back = PaddedGameRecord.from_json_dict(json.loads(canonical_json(rec.to_json_dict())))
+        solves.clear()
+        eq = back.equilibrium
+        assert solves == {}
+        assert eq.value == back.certificate["padded_value"]
+        assert eq.value == solve_zero_sum_lp(back.padded).value
+
+
+class TestOneSolvePerMatrix:
+    """Only a record's own equilibrium solves a record's matrix: the agents,
+    `solve` and the pad check read it, so each distinct matrix is solved once.
+    Solves are counted by matrix bytes under every module name the solver is
+    looked up by."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        counts = Counter()
+        solve = solver.solve_zero_sum_lp
+
+        def counted(matrix):
+            counts[matrix.entries.tobytes()] += 1
+            return solve(matrix)
+
+        for module in (solver, gen, agents, cli):
+            if "solve_zero_sum_lp" in vars(module):
+                monkeypatch.setattr(module, "solve_zero_sum_lp", counted)
+        return counts
+
+    @pytest.mark.parametrize("argv", [["solve", "--in", "p.jsonl"],
+                                      ["eval", "--in", "p.jsonl", "--agent", "oracle"]],
+                             ids=["solve", "eval oracle"])
+    def test_a_command_on_dominated_pads_solves_each_pad_once(self, argv, solved, tmp_path,
+                                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen", "--n", "3", "--count", "4", "--seed", "3",
+                         "--out", "g.jsonl"]) == 0
+        assert cli.main(["pad", "--in", "g.jsonl", "--kind", "dominated", "--target-n", "12",
+                         "--out", "p.jsonl"]) == 0
+        solved.clear()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        padded = [c for key, c in solved.items() if len(key) == 12 * 12 * 8]
+        assert padded == [1] * 4  # the reader's verification solve, read again
+
+    def test_the_padding_experiment_solves_each_matrix_once(self, solved):
+        count, targets = 4, (5, 8)
+        harness.padding_cliff_experiment(NoisyOracleAgent(0.3, seed=1), base_n=3,
+                                         targets=targets, count=count, k=2, seed=99)
+        assert sum(solved.values()) == count * (1 + 3 * len(targets))
+        assert set(solved.values()) == {1}
 
 
 class TestRecipeId:

@@ -23,6 +23,7 @@ from zerosum import (
     toy_grpo_train,
     uniform_pair,
 )
+from zerosum import cli, theory
 from zerosum.core import CheckReport
 from zerosum.theory import LIPSCHITZ_SLACK, MATCHING_PENNIES, FrozenTrainingReport
 
@@ -267,3 +268,22 @@ class TestToyTrainer:
             toy_grpo_train(MP, mode="cooperative", steps=0)
         with pytest.raises(ContractViolation):
             toy_grpo_train(MP, mode="cooperative", steps=1, accumulate_groups=0)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_no_two_checks_share_a_stream(seed, monkeypatch, capsys):
+    """Each stream of one verify-theorems run is keyed once: the toy trainer's
+    steps 3 and 5 once drew the streams of the Lipschitz and cancellation
+    checks' trial 0."""
+    keys = []
+    draw = theory.generator
+
+    def recording(key):
+        keys.append(key)
+        return draw(key)
+
+    monkeypatch.setattr(theory, "generator", recording)
+    assert cli.main(["verify-theorems", "--trials", "40", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    assert len(keys) == 40 + 40 + 25  # two checks' trials, then the frozen check's steps
+    assert len(set(keys)) == len(keys)

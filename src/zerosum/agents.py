@@ -148,8 +148,13 @@ def parse_response(text: str, n: int) -> AgentResponse:
     )
 
 
+def _reply(row: np.ndarray, col: np.ndarray) -> str:
+    """The text of a {"row", "col"} reply, each weight vector as a JSON list."""
+    return json.dumps({"row": row.tolist(), "col": col.tolist()})
+
+
 def serialize_pair(pair: StrategyPair) -> str:
-    return json.dumps(pair.to_json_dict())
+    return _reply(pair.row.probs, pair.col.probs)
 
 
 def _answer(pair: StrategyPair, n: int, k: int) -> list[AgentResponse]:
@@ -206,8 +211,7 @@ class NoisyOracleAgent:
             rng = generator(child_seed(self.seed, gid, s))
             row = pair.row.probs + self.sigma * rng.standard_normal(game.n)
             col = pair.col.probs + self.sigma * rng.standard_normal(game.n)
-            raw = json.dumps({"row": row.tolist(), "col": col.tolist()})
-            out.append(parse_response(raw, game.n))
+            out.append(parse_response(_reply(row, col), game.n))
         return out
 
 
@@ -251,8 +255,7 @@ class BlockSolverAgent:
             row[:b] = pair.row.probs
             col = np.zeros(n)
             col[:b] = pair.col.probs
-            raw = json.dumps({"row": row.tolist(), "col": col.tolist()})
-            resp = self._answers[(n, *key)] = parse_response(raw, n)
+            resp = self._answers[(n, *key)] = parse_response(_reply(row, col), n)
         return [resp] * k
 
 

@@ -84,7 +84,10 @@ from .solver import (
     support_enumeration,
 )
 from .theory import (
+    CHECK_TRIALS,
     MATCHING_PENNIES,
+    TRAIN_ACCUMULATE_GROUPS,
+    TRAIN_STEPS,
     ToyPolicy,
     check_residual_lipschitz,
     frozen_training_check,
@@ -94,6 +97,7 @@ from .theory import (
 )
 
 SOLVE_AGREE_TOL = 1e-6
+SOLVE_METHODS = ("lp", "support", "both")  # the first is the default
 
 
 def _as_int(value, key):
@@ -406,8 +410,9 @@ def _solution(eq) -> dict:
 
 def cmd_solve(cfg: dict) -> int:
     src, method = cfg["in"], cfg["method"]
-    if method not in ("lp", "support", "both"):
-        raise ConfigError(f"method must be lp, support or both, got {method!r}")
+    if method not in SOLVE_METHODS:
+        *others, last = SOLVE_METHODS
+        raise ConfigError(f"method must be {', '.join(others)} or {last}, got {method!r}")
     records = _load_records(src)
     if method in ("support", "both"):
         oversized = [r.id for r in records if r.n > SUPPORT_ENUM_MAX_N]
@@ -619,8 +624,10 @@ def cmd_report(cfg: dict) -> int:
             for seen, prior in eval_rows:
                 if (prior.agent, prior.n) == (res.agent, res.n):
                     raise ConfigError(f"{seen} and {path} both report {res.agent!r} at n={res.n}")
-                if prior.tau != res.tau:
-                    raise ConfigError(f"{seen} has tau {prior.tau!r}, {path} tau {res.tau!r}")
+                for key in ("tau", "k"):  # one table holds one threshold and one best-of-k
+                    old, new = getattr(prior, key), getattr(res, key)
+                    if old != new:
+                        raise ConfigError(f"{seen} has {key} {old!r}, {path} {key} {new!r}")
             eval_rows.append((path, res))
         elif schema == PaddingCliffReport.schema:
             blocks.append(_padexp_table(PaddingCliffReport.from_json_dict(payload)))
@@ -665,7 +672,7 @@ _COMMANDS = {
     ]),
     "solve": (cmd_solve, "solve games and cross-check routes", [
         ("in", None, None, True, "games JSONL"),
-        ("method", None, "lp", False, "lp|support|both"),
+        ("method", None, SOLVE_METHODS[0], False, "|".join(SOLVE_METHODS)),
         ("out", None, None, False, "optional solutions JSONL"),
     ]),
     "eval": (cmd_eval, "score an agent on a game set", [
@@ -699,19 +706,19 @@ _COMMANDS = {
         ("out", None, None, False, "report JSON path"),
     ]),
     "verify-theorems": (cmd_verify_theorems, "run the structural checks", [
-        ("trials", _as_int, 400, False, "random trials per check"),
+        ("trials", _as_int, CHECK_TRIALS, False, "random trials per check"),
         _SEED,
         ("out", None, None, False, "report JSON path"),
     ]),
     "train-toy": (cmd_train_toy, "toy self-play trainer", [
         ("mode", None, "cooperative", False, "cooperative|role_merged"),
-        ("steps", _as_int, 500, False, "training steps"),
+        ("steps", _as_int, TRAIN_STEPS, False, "training steps"),
         _SEED,
         ("lr", _as_float, ToyPolicy.learning_rate, False, "learning rate"),
         ("group_size", _as_int, ToyPolicy.group_size, False, "episodes per group"),
         ("grid_m", _as_int, ToyPolicy.grid_m, False, "strategy grid points"),
         ("kl_coef", _as_float, ToyPolicy.kl_coef, False, "pull toward the initial policy"),
-        ("accumulate_groups", _as_int, 1, False, "groups per update"),
+        ("accumulate_groups", _as_int, TRAIN_ACCUMULATE_GROUPS, False, "groups per update"),
         ("in", None, None, False, "optional games JSONL (2x2 only)"),
         ("index", _as_int, 0, False, "record index within --in"),
         ("out", None, None, False, "trace JSON path"),

@@ -25,7 +25,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -177,24 +177,11 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class MatrixMeta:
-    """Provenance carried by a payoff matrix."""
-
-    seed: int | None = None
-    distribution: str | None = None
-    normalized: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {k: v for k, v in field_dict(self).items() if v is not None}
-
-
 @dataclass(frozen=True, eq=False)
 class PayoffMatrix:
-    """Immutable n x n payoff matrix for the row player."""
+    """Immutable n x n payoff matrix for the row player: its checked entries."""
 
     entries: np.ndarray
-    meta: MatrixMeta = MatrixMeta()
 
     def __post_init__(self):
         arr = _float_array(self.entries, "payoff entries")
@@ -204,10 +191,7 @@ class PayoffMatrix:
             raise ContractViolation("payoff matrix needs n >= 2")
         if not np.isfinite(arr).all():
             raise ContractViolation("payoff entries must be finite")
-        arr = _frozen_array(arr)
-        object.__setattr__(self, "entries", arr)
-        if self.meta.normalized and self.span <= 0.0:
-            raise ContractViolation("normalized matrix must have positive span")
+        object.__setattr__(self, "entries", _frozen_array(arr))
 
     @property
     def n(self) -> int:
@@ -219,7 +203,7 @@ class PayoffMatrix:
         return float(self.entries.max() - self.entries.min())
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "entries": self.entries.tolist(), "meta": self.meta.to_json_dict()}
+        return {"n": self.n, "entries": self.entries.tolist()}
 
 
 def is_strategy(arr: np.ndarray) -> np.ndarray:
@@ -306,11 +290,10 @@ def normalize_payoffs(matrix: PayoffMatrix) -> PayoffMatrix:
     """Rescale payoffs to A <- 2A / (max A - min A).
 
     A constant matrix has no scale to normalize, so entry (0, 0) is bumped
-    by +1 first; the result has span 2 up to a few units of rounding.
-    Provenance metadata is kept and the normalized flag set. A span that
-    overflows float range (entries near +-1e308), or one so small that
-    2 / span does (a subnormal span, or a constant matrix whose bump is
-    lost to rounding), raises ContractViolation.
+    by +1 first; the result has span 2 up to a few units of rounding. A
+    span that overflows float range (entries near +-1e308), or one so small
+    that 2 / span does (a subnormal span, or a constant matrix whose bump
+    is lost to rounding), raises ContractViolation.
     """
     arr = np.array(matrix.entries)
     lo = arr.min()
@@ -327,7 +310,7 @@ def normalize_payoffs(matrix: PayoffMatrix) -> PayoffMatrix:
     if not (span > 0.0 and math.isfinite(2.0 / span)):
         raise ContractViolation(f"payoff span {span!r} is too small: 2 / span overflows float range")
     arr *= 2.0 / (hi - lo)
-    return PayoffMatrix(arr, meta=replace(matrix.meta, normalized=True))
+    return PayoffMatrix(arr)
 
 
 def regrets(matrix: PayoffMatrix, pair: StrategyPair) -> tuple[float, float, float]:
@@ -388,7 +371,7 @@ def apply_permutation(matrix: PayoffMatrix, row_perm, col_perm) -> PayoffMatrix:
     """Relabel actions: result[i, j] = A[row_perm[i], col_perm[j]]."""
     rp = _check_permutation(row_perm, matrix.n)
     cp = _check_permutation(col_perm, matrix.n)
-    return PayoffMatrix(matrix.entries[np.ix_(rp, cp)], meta=matrix.meta)
+    return PayoffMatrix(matrix.entries[np.ix_(rp, cp)])
 
 
 def permute_pair(pair: StrategyPair, row_perm, col_perm) -> StrategyPair:
@@ -409,10 +392,7 @@ def apply_affine(matrix: PayoffMatrix, scale: float, shift: float) -> PayoffMatr
     """
     if not (scale > 0.0) or not np.isfinite(scale) or not np.isfinite(shift):
         raise ContractViolation(f"affine map needs finite scale > 0, got ({scale}, {shift})")
-    return PayoffMatrix(
-        matrix.entries * scale + shift,
-        meta=replace(matrix.meta, normalized=False),
-    )
+    return PayoffMatrix(matrix.entries * scale + shift)
 
 
 def _mass(arr: np.ndarray, top: float) -> float:

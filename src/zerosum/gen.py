@@ -20,6 +20,10 @@ Draw rules per distribution (row-major fills):
   drawn first as one (n, n) uniform block, then one (n, n) block of values
   uniform on {-9..9} minus {0}; masked-off cells are exactly 0.
 
+A matrix is only its entries: a record writes each matrix's ``meta`` (the
+seed and distribution its game was drawn from, and the normalized flag)
+from its own spec.
+
 Readers rebuild what they read with the writer and accept a line only if it
 equals the rebuilt record's JSON form, so whatever they accept reads back
 as written:
@@ -42,7 +46,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    MatrixMeta,
     MixedStrategy,
     PayoffMatrix,
     StrategyPair,
@@ -118,7 +121,12 @@ class GameRecord(_SolvesItsLP):
     def n(self) -> int:
         return self.spec.n
 
-    to_json_dict = field_dict
+    def to_json_dict(self) -> dict:
+        """The fields' JSON form, each matrix's provenance written from spec."""
+        d = field_dict(self)
+        d["matrix"]["meta"] = _provenance(self.spec, self.spec.normalize)
+        d["raw"]["meta"] = _provenance(self.spec, False)
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GameRecord":
@@ -131,6 +139,11 @@ class GameRecord(_SolvesItsLP):
         return _rebuilt("record", d, rec)
 
 
+def _provenance(spec: GameSpec, normalized: bool) -> dict:
+    """The "meta" written beside a matrix drawn for spec."""
+    return {"seed": spec.seed, "distribution": spec.distribution, "normalized": normalized}
+
+
 def _rebuilt(what: str, d: dict, rec):
     """rec, if its JSON form equals d as JSON values (5 for 5.0 and -0.0 for
     0.0 are equal); else ContractViolation naming the first top-level key
@@ -141,10 +154,6 @@ def _rebuilt(what: str, d: dict, rec):
     key = next(k for k in sorted(d.keys() | expected.keys())
                if k not in d or k not in expected or d[k] != expected[k])
     raise ContractViolation(f"{what} {d.get('id')}: {key} does not match its contents")
-
-
-def _game_id(spec: GameSpec, raw: np.ndarray) -> str:
-    return content_digest({"spec": spec.to_json_dict(), "raw": raw.tolist()})
 
 
 def _draw_raw(spec: GameSpec) -> np.ndarray:
@@ -166,12 +175,12 @@ def _game_record(spec: GameSpec, raw_entries) -> GameRecord:
     sample_game passes the entries it draws, GameRecord.from_json_dict the
     entries it reads.
     """
-    meta = MatrixMeta(seed=spec.seed, distribution=spec.distribution, normalized=False)
-    raw = PayoffMatrix(raw_entries, meta=meta)
+    raw = PayoffMatrix(raw_entries)
     if raw.n != spec.n:
         raise ContractViolation(f"spec n={spec.n}, raw n={raw.n}")
     matrix = normalize_payoffs(raw) if spec.normalize else raw
-    return GameRecord(spec=spec, matrix=matrix, raw=raw, id=_game_id(spec, raw.entries))
+    game_id = content_digest({"spec": spec.to_json_dict(), "raw": raw.entries.tolist()})
+    return GameRecord(spec=spec, matrix=matrix, raw=raw, id=game_id)
 
 
 def sample_game(spec: GameSpec) -> GameRecord:
@@ -216,7 +225,11 @@ class PaddedGameRecord(_SolvesItsLP):
     def n(self) -> int:
         return self.padded.n
 
-    to_json_dict = field_dict
+    def to_json_dict(self) -> dict:
+        """The fields' JSON form, the padded matrix's provenance written from the base's spec."""
+        d = field_dict(self)
+        d["padded"]["meta"] = _provenance(self.base.spec, False)
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PaddedGameRecord":
@@ -267,7 +280,7 @@ def _padded_record(base: GameRecord, padded: np.ndarray, kind: str,
     reference pair's raw exploitability on the padded game.
     """
     eq = base.equilibrium
-    matrix = PayoffMatrix(padded, meta=replace(base.matrix.meta, normalized=False))
+    matrix = PayoffMatrix(padded)
     row_map = tuple(int(i) for i in row_map)
     col_map = tuple(int(j) for j in col_map)
     row = np.zeros(matrix.n)

@@ -28,6 +28,9 @@ from .rng import child_seed, generator, standard_normal
 from .solver import solve_zero_sum_lp
 
 LIPSCHITZ_SLACK = 1e-9
+CHECK_TRIALS = 400  # random trials per Lipschitz or cancellation check
+TRAIN_STEPS = 500  # toy trainer updates
+TRAIN_ACCUMULATE_GROUPS = 1  # toy trainer groups per update
 # child_seed tags under a check's root seed, one per stream family, so that no
 # two checks of one verify-theorems run draw from the same stream
 _LIPSCHITZ_TAG = 3
@@ -61,7 +64,7 @@ class LipschitzReport(CheckReport):
         return self.violations == 0
 
 
-def check_residual_lipschitz(trials: int = 500, seed: int = 0) -> LipschitzReport:
+def check_residual_lipschitz(trials: int = CHECK_TRIALS, seed: int = 0) -> LipschitzReport:
     """Check |Exploit(A,p,q) - Exploit(B,p,q)| <= 2 max|A-B| + slack.
 
     Alternates between independent perturbations and single-entry bumps;
@@ -119,12 +122,6 @@ class DiscontinuityReport(CheckReport):
         return self.min_jump >= 1.0
 
 
-def _pair_l1(a: StrategyPair, b: StrategyPair) -> float:
-    return float(
-        np.abs(a.row.probs - b.row.probs).sum() + np.abs(a.col.probs - b.col.probs).sum()
-    )
-
-
 def selector_discontinuity_demo() -> DiscontinuityReport:
     """No continuous equilibrium selection exists at the zero matrix.
 
@@ -139,7 +136,8 @@ def selector_discontinuity_demo() -> DiscontinuityReport:
     min_jump = math.inf
     for eps in DISCONTINUITY_EPS:
         eq = solve_zero_sum_lp(PayoffMatrix(eps * MATCHING_PENNIES.matrix.entries))
-        jump = _pair_l1(eq.pair, zero_eq.pair)
+        jump = float(np.abs(eq.pair.row.probs - zero_eq.pair.row.probs).sum()
+                     + np.abs(eq.pair.col.probs - zero_eq.pair.col.probs).sum())
         min_jump = min(min_jump, jump)
         rows.append({"eps": eps, "matrix_distance": eps, "strategy_jump": jump,
                      "value": eq.value, **eq.pair.to_json_dict()})
@@ -227,7 +225,7 @@ class CancellationReport(CheckReport):
         return self.max_abs_coefficient == 0.0
 
 
-def grpo_cancellation_check(trials: int = 200, seed: int = 0) -> CancellationReport:
+def grpo_cancellation_check(trials: int = CHECK_TRIALS, seed: int = 0) -> CancellationReport:
     """Role-merged coefficients are exactly zero on random reward groups."""
     if trials < 1:
         raise ContractViolation("need at least one trial")
@@ -318,9 +316,9 @@ def toy_grpo_train(
     game,
     policy: ToyPolicy = ToyPolicy(),
     mode: str = "cooperative",
-    steps: int = 500,
+    steps: int = TRAIN_STEPS,
     seed: int = 0,
-    accumulate_groups: int = 1,
+    accumulate_groups: int = TRAIN_ACCUMULATE_GROUPS,
 ) -> TrainResult:
     """Self-play REINFORCE on a grid policy, grouped-advantage weighting.
 

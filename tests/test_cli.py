@@ -1003,6 +1003,19 @@ class TestMalformedInput:
         assert not (games / "rep.md").exists()
         assert cli_main("report", "--in", "uniform.json", "--out", "rep.md") == 0
 
+    @pytest.mark.parametrize("order", [(1, 8), (8, 1)])
+    def test_report_on_results_with_two_ks(self, games, capsys, order):
+        # a best-of-1 cell once sat beside best-of-8 cells under one title
+        for agent, k in zip(("uniform", "oracle"), order):
+            assert cli_main("eval", "--in", "g.jsonl", "--agent", agent, "--k", k,
+                            "--out", f"{agent}.json") == 0
+        capsys.readouterr()
+        assert cli_main("report", "--in", "uniform.json,oracle.json", "--out", "rep.md") == 2
+        assert (f"uniform.json has k {order[0]!r}, oracle.json k {order[1]!r}"
+                in capsys.readouterr().err)
+        assert not (games / "rep.md").exists()
+        assert cli_main("report", "--in", "uniform.json", "--out", "rep.md") == 0
+
     @pytest.mark.parametrize("argv", [
         ["gen", "--n", 3, "--count", 2, "--seed", 1],
         ["eval", "--in", "g.jsonl", "--agent", "uniform"],

@@ -81,7 +81,7 @@ class TestNormalize:
     def test_scales_to_span_two(self):
         m = normalize_payoffs(PayoffMatrix(np.array([[-9.0, 9.0], [0.0, 0.0]])))
         assert np.array_equal(m.entries, np.array([[-1.0, 1.0], [0.0, 0.0]]))
-        assert m.meta.normalized
+        assert m.span == 2.0
 
     def test_constant_matrix_gets_corner_bump(self):
         m = normalize_payoffs(PayoffMatrix(np.array([[3.0, 3.0], [3.0, 3.0]])))

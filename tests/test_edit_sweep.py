@@ -5,7 +5,8 @@ every key and list element: drop it, set it to null, stringify it, flip a
 bool, nudge a float by one ulp, negate or add 1 to a number, switch its int
 or float spelling, add a key to an object, append to or pop from a list.
 Every edited line must either be rejected with ValueError or KeyError (the
-CLI maps both to exit 2) or read back to the writer's exact line. A number
+CLI maps both to exit 2) or equal the written line as JSON values and read
+back to the writer's exact line. A number
 spelled as a string, anywhere, and a padded ``n`` spelled as a float must
 be rejected, not read back.
 
@@ -108,10 +109,14 @@ RECORDS = {
 }
 
 
-@pytest.mark.parametrize("name", list(RECORDS))
-def test_every_single_edit_is_rejected_or_reads_back_as_written(name):
-    line = canonical_json(RECORDS[name]().to_json_dict())
-    assert canonical_json(_read(json.loads(line)).to_json_dict()) == line
+def sweep(line: str) -> tuple[int, list[str]]:
+    """(edits made, edits wrongly accepted) over every single edit of line.
+
+    An accepted edit must equal line as JSON values (5.0 for 5 and 0.0 for
+    -0.0 are equal) and read back to line's exact bytes, so a reader that
+    ignores a key it does not rebuild from is caught.
+    """
+    written = json.loads(line)
     edits = 0
     violations = []
     for path, label, d in _edited(line):
@@ -120,8 +125,17 @@ def test_every_single_edit_is_rejected_or_reads_back_as_written(name):
             rec = _read(d)
         except (ValueError, KeyError):
             continue
-        if _must_reject(line, path, label) or canonical_json(rec.to_json_dict()) != line:
+        if (_must_reject(line, path, label) or d != written
+                or canonical_json(rec.to_json_dict()) != line):
             violations.append(f"{label} at {'/'.join(map(str, path))}")
+    return edits, violations
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_every_single_edit_is_rejected_or_reads_back_as_written(name):
+    line = canonical_json(RECORDS[name]().to_json_dict())
+    assert canonical_json(_read(json.loads(line)).to_json_dict()) == line
+    edits, violations = sweep(line)
     assert edits >= 200
     assert violations == []
 

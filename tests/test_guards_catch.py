@@ -13,8 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from test_edit_sweep import sweep
 from zerosum import _kernels, agents, cli, gen, solver
 from zerosum.agents import NoisyOracleAgent
+from zerosum.core import canonical_json
 from zerosum.errors import ConstructionError, SolverError
 from zerosum.gen import GameSpec, dominated_pad, make_eval_set, sample_game
 from zerosum.harness import invariance_audit
@@ -127,12 +129,52 @@ def _float32_weights(monkeypatch):
     monkeypatch.setattr(agents, "_as_weights", rounded)
 
 
+# the two solver routes: solve --method both exits 3 when their values differ
+
+def _routes_prepare(tmp_path):
+    assert cli.main(["gen", "--n", "4", "--count", "3", "--seed", "2",
+                     "--out", str(tmp_path / "g.jsonl")]) == 0
+    return tmp_path
+
+
+def _routes_check(tmp_path):
+    rc = cli.main(["solve", "--in", str(tmp_path / "g.jsonl"), "--method", "both"])
+    return "ok" if rc == 0 else f"exit {rc}"
+
+
+def _off_support_value(monkeypatch):
+    enumerate_supports = cli.support_enumeration
+
+    def off(matrix):
+        eq = enumerate_supports(matrix)
+        return replace(eq, value=eq.value + 1e-5)
+
+    monkeypatch.setattr(cli, "support_enumeration", off)
+
+
+# the edit sweep: a reader accepts only a line equal to the one it rebuilds
+
+def _sweep_prepare(tmp_path):
+    return canonical_json(sample_game(GameSpec(n=3, seed=1)).to_json_dict())
+
+
+def _sweep_check(line):
+    _, violations = sweep(line)
+    return "ok" if not violations else "violations"
+
+
+def _uncompared(monkeypatch):
+    monkeypatch.setattr(gen, "_rebuilt", lambda what, d, rec: rec)
+
+
 # guard -> (prepare, check, mutant, the check's outcome under the mutant)
 GUARDS = {
     "lp certificate": (_lp_prepare, _lp_check, _nudge_y, "SolverError"),
     "dominated pad value": (_pad_prepare, _pad_check, _off_value, "ConstructionError"),
     "permutation audit": (_audit_prepare, _audit_check, _storage_order_sums, "not ok"),
     "rescore": (_rescore_prepare, _rescore_check, _float32_weights, "exit 3"),
+    "solver routes": (_routes_prepare, _routes_check, _off_support_value, "exit 3"),
+    "edit sweep": (_sweep_prepare, _sweep_check, _uncompared, "violations"),
 }
 
 

@@ -61,13 +61,16 @@ def _records():
     games = {d: sample_game(GameSpec(n=4, distribution=d, seed=11))
              for d in ("integer", "gaussian", "sparse")}
     base = sample_game(GameSpec(n=3, seed=5))
+    gaussian_base = sample_game(GameSpec(n=3, distribution="gaussian", seed=5))
     eval_games = make_eval_set(n=3, count=4, eval_seed=2)
     audits = invariance_audit(UniformAgent(), eval_games, seed=3)
     return {
         "gamerec_integer": games["integer"],
         "gamerec_gaussian": games["gaussian"],
         "gamerec_sparse": games["sparse"],
+        "gamerec_unnormalized": sample_game(GameSpec(n=4, normalize=False, seed=11)),
         "padrec_dominated_shuffled": dominated_pad(base, 6, shuffle=True),
+        "padrec_dominated_gaussian": dominated_pad(gaussian_base, 6),
         "padrec_random": random_pad(base, 6),
         "evalres_invalid": evaluate(_MixedAgent(), eval_games, k=5, tau=0.10,
                                     condition="pinned", distribution="integer"),
@@ -88,8 +91,12 @@ PINNED = {
         "fb0394e33eba9e3f0a60e84192f6d9914385940f97f8302669a55e2858f86ed3",
     "gamerec_sparse":
         "617ab55ccacf557f3b7bb627f45ac77d3cc40edf44a8f2eff06be304b4718e8d",
+    "gamerec_unnormalized":
+        "a3d4ee574f3b07c976acc085e1956e5905aede963ddaad903fd606c50d87db41",
     "padrec_dominated_shuffled":
         "b4fe74b3f85f10c0aa6ff9564345aeb1105c2de442bf51c39f9e81807a3cf4fa",
+    "padrec_dominated_gaussian":
+        "dfe5b52b140d5eb444965a9427a4b60599e3f3751c6b889a9659a3ae796c8868",
     "padrec_random":
         "67fc797eac723978c6c35cfe09bee57b5293518dd360d75111c0665e601dc328",
     "evalres_invalid":
@@ -238,11 +245,13 @@ def test_nested_records_tuples_and_dicts_are_read_by_their_annotation():
 # cannot express; every other record says to_json_dict = field_dict and
 # from_json_dict = classmethod(from_fields)
 HAND_WRITTEN = {
-    ("core", "MatrixMeta", "to_json_dict"): "leaves out unset provenance",
     ("core", "PayoffMatrix", "to_json_dict"): "writes n and an ndarray's entries as lists",
     ("core", "StrategyPair", "to_json_dict"): "writes each strategy as its list of weights",
     ("core", "CheckReport", "to_json_dict"): "writes each check's kind and its derived ok",
+    ("gen", "GameRecord", "to_json_dict"): "writes each matrix's meta from the spec",
     ("gen", "GameRecord", "from_json_dict"): "rebuilds the record from its spec and raw entries",
+    ("gen", "PaddedGameRecord", "to_json_dict"):
+        "writes the padded matrix's meta from the base's spec",
     ("gen", "PaddedGameRecord", "from_json_dict"):
         "rebuilds the record from its base, kind and padded size",
     ("agents", "RemoteModelConfig", "from_json_dict"): "raises ConfigError, not ContractViolation",

@@ -255,7 +255,7 @@ class TestToyTrainer:
     def test_the_one_matching_pennies_game(self):
         # normalizing a span-2 matrix multiplies by exactly 1.0
         assert MATCHING_PENNIES.matrix.entries.tolist() == MP.matrix.entries.tolist()
-        assert MATCHING_PENNIES.matrix.meta.normalized
+        assert MATCHING_PENNIES.matrix.span == 2.0
         assert (MATCHING_PENNIES.n, MATCHING_PENNIES.id) == (2, "matching-pennies")
 
     def test_validation(self):

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -204,7 +205,8 @@ def make_eval_set(
 
 @dataclass(frozen=True, eq=False)
 class PaddedGameRecord(_SolvesItsLP):
-    """A base game embedded in a larger matrix, with placement maps."""
+    """A base game embedded in a larger matrix, with placement maps. Like its
+    equilibrium, its reference pair and certificate are derived on first read."""
 
     schema = "padrec/2"
 
@@ -213,8 +215,6 @@ class PaddedGameRecord(_SolvesItsLP):
     kind: str
     row_map: tuple[int, ...]
     col_map: tuple[int, ...]
-    reference_pair: StrategyPair
-    certificate: dict
     id: str
 
     @property
@@ -225,10 +225,32 @@ class PaddedGameRecord(_SolvesItsLP):
     def n(self) -> int:
         return self.padded.n
 
+    @functools.cached_property
+    def reference_pair(self) -> StrategyPair:
+        """base.equilibrium's pair zero-extended through row_map and col_map."""
+        pair = self.base.equilibrium.pair
+        row = np.zeros(self.n)
+        row[list(self.row_map)] = pair.row.probs
+        col = np.zeros(self.n)
+        col[list(self.col_map)] = pair.col.probs
+        return StrategyPair(row=MixedStrategy(row), col=MixedStrategy(col))
+
+    @functools.cached_property
+    def certificate(self) -> MappingProxyType:
+        """base.equilibrium's value and the reference pair's raw exploitability
+        on the padded game, and a dominated pad's own equilibrium value; read-only."""
+        cert = {"base_value": self.base.equilibrium.value,
+                "reference_exploit": raw_exploit(self.padded, self.reference_pair)}
+        if self.kind == "dominated":
+            cert["padded_value"] = self.equilibrium.value
+        return MappingProxyType(cert)
+
     def to_json_dict(self) -> dict:
-        """The fields' JSON form, the padded matrix's provenance written from the base's spec."""
+        """The fields' JSON form, the padded matrix's meta, the reference pair and certificate."""
         d = field_dict(self)
         d["padded"]["meta"] = _provenance(self.base.spec, False)
+        d["reference_pair"] = self.reference_pair.to_json_dict()
+        d["certificate"] = dict(self.certificate)
         return d
 
     @classmethod
@@ -273,31 +295,14 @@ def _padded_id(kind: str, base: GameRecord, target_n: int, shuffle: bool) -> str
 
 def _padded_record(base: GameRecord, padded: np.ndarray, kind: str,
                    row_map, col_map, shuffle: bool) -> PaddedGameRecord:
-    """The record of padded entries that hold base at (row_map, col_map).
-
-    The reference pair is base.equilibrium's pair zero-extended to the
-    padded size; the certificate holds that solution's value and the
-    reference pair's raw exploitability on the padded game.
-    """
-    eq = base.equilibrium
-    matrix = PayoffMatrix(padded)
-    row_map = tuple(int(i) for i in row_map)
-    col_map = tuple(int(j) for j in col_map)
-    row = np.zeros(matrix.n)
-    row[list(row_map)] = eq.pair.row.probs
-    col = np.zeros(matrix.n)
-    col[list(col_map)] = eq.pair.col.probs
-    reference = StrategyPair(row=MixedStrategy(row), col=MixedStrategy(col))
+    """The record of padded entries that hold base at (row_map, col_map)."""
     return PaddedGameRecord(
         base=base,
-        padded=matrix,
+        padded=PayoffMatrix(padded),
         kind=kind,
-        row_map=row_map,
-        col_map=col_map,
-        reference_pair=reference,
-        certificate={"base_value": eq.value,
-                     "reference_exploit": raw_exploit(matrix, reference)},
-        id=_padded_id(kind, base, matrix.n, shuffle),
+        row_map=tuple(int(i) for i in row_map),
+        col_map=tuple(int(j) for j in col_map),
+        id=_padded_id(kind, base, len(padded), shuffle),
     )
 
 
@@ -309,11 +314,11 @@ def dominated_pad(base: GameRecord, target_n: int, shuffle: bool = False) -> Pad
     the base maximum (base_max + u) on original rows; u is integer-uniform
     on {1..5} per entry. Draw order: the new-column block (k x (N-k)), then
     the new-row block ((N-k) x N), then, when shuffle is set, the row and
-    column position permutations. Every record is re-verified: the
-    zero-extended ``base.equilibrium`` must certify on the padded game and
-    the returned record's own ``equilibrium`` value must match its value at
-    1e-8, else ConstructionError. That solve stays cached on the record, and
-    its value is the certificate's ``padded_value``.
+    column position permutations. Every record is re-verified before it is
+    returned, by reading its certificate: the zero-extended
+    ``base.equilibrium`` must certify on the padded game and the record's
+    own ``equilibrium`` value (``padded_value``) must match its value at
+    1e-8, else ConstructionError. That solve stays cached on the record.
     """
     k = _pad_base_n(base, target_n)
     rng = generator(child_seed(base.spec.seed, _DOMINATED_TAG, target_n))
@@ -335,14 +340,13 @@ def dominated_pad(base: GameRecord, target_n: int, shuffle: bool = False) -> Pad
         padded = shuffled
     rec = _padded_record(base, padded, "dominated", row_pos[:k], col_pos[:k], shuffle)
     cert = rec.certificate
-    value_gap = abs(rec.equilibrium.value - cert["base_value"])
+    value_gap = abs(cert["padded_value"] - cert["base_value"])
     if cert["reference_exploit"] > CERT_TOL or value_gap > CERT_TOL:
         raise ConstructionError(
             f"dominated pad failed verification (exploit {cert['reference_exploit']:.3e}, "
             f"value gap {value_gap:.3e})",
             instance=padded,
         )
-    cert["padded_value"] = rec.equilibrium.value
     return rec
 
 
@@ -353,8 +357,9 @@ def random_pad(base: GameRecord, target_n: int) -> PaddedGameRecord:
     drawn from the base spec's distribution (one full (N, N) block is drawn
     and the corner overwritten, so the surround is a fixed function of the
     stream). The reference pair is still the zero-extended
-    ``base.equilibrium``, but nothing certifies it here; its exploitability
-    on the padded game is recorded in the certificate for inspection.
+    ``base.equilibrium``, but nothing certifies it here: both it and its
+    exploitability on the padded game (the certificate) are derived only
+    when read.
     """
     k = _pad_base_n(base, target_n)
     surround_spec = replace(

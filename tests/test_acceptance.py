@@ -230,26 +230,28 @@ def test_c08_padding_constructions_verify():
     )
 
 
-def test_c09_padding_cliff_signature():
-    t0 = time.perf_counter()
+C09_TARGETS = (8, 12, 15, 20)
+
+
+def c09_verdict():
+    """C09's padding-cliff run and its verdict: (ok, detail)."""
     rep = padding_cliff_experiment(
-        BlockSolverAgent(3), base_n=3, targets=(8, 12, 15, 20),
+        BlockSolverAgent(3), base_n=3, targets=C09_TARGETS,
         count=50, k=K, tau=TAU, seed=EVAL_SEED,
     )
-    dom = dict(rep.curve("dominated"))
-    dense = dict(rep.curve("dense"))
-    rand = dict(rep.curve("random"))
-    targets = (8, 12, 15, 20)
-    dom_ok = all(dom[t] >= 0.95 for t in targets)
-    collapse_ok = all(dense[t] <= 0.30 and rand[t] <= 0.30 for t in targets)
-    _check(
-        "C09", dom_ok and collapse_ok,
-        "block solver keeps s@ >= 0.95 on dominated pads "
-        f"({ {t: dom[t] for t in targets} }) while dense and random collapse "
-        f"<= 0.30 (dense { {t: dense[t] for t in targets} }, "
-        f"random { {t: rand[t] for t in targets} })",
-        elapsed=time.perf_counter() - t0,
-    )
+    dom, dense, rand = ({t: s for t, s in rep.curve(kind) if t in C09_TARGETS}
+                        for kind in ("dominated", "dense", "random"))
+    dom_ok = all(dom[t] >= 0.95 for t in C09_TARGETS)
+    collapse_ok = all(dense[t] <= 0.30 and rand[t] <= 0.30 for t in C09_TARGETS)
+    return dom_ok and collapse_ok, (
+        f"block solver keeps s@ >= 0.95 on dominated pads ({dom}) while dense and random "
+        f"collapse <= 0.30 (dense {dense}, random {rand})")
+
+
+def test_c09_padding_cliff_signature():
+    t0 = time.perf_counter()
+    ok, detail = c09_verdict()
+    _check("C09", ok, detail, elapsed=time.perf_counter() - t0)
 
 
 def test_c10_metric_consistency_and_reproducibility():

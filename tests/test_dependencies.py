@@ -5,9 +5,12 @@ Every import statement in src/zerosum/*.py, including those inside
 functions, must name a stdlib module, numpy, or zerosum itself, and every
 name it binds must be read somewhere in its module (or listed in the
 module's ``__all__``). An import line marked ``# noqa: F401`` is kept on
-purpose and exempt."""
+purpose and exempt. Importing the CLI loads no module that only a remote
+agent or a random draw needs, so every start stays cheap."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,3 +66,18 @@ def test_every_imported_name_is_used():
     unused = [f"{path.name}:{lineno}: {name}"
               for path in files for lineno, name in _unused_imports(path)]
     assert not unused, unused
+
+
+# deferred on purpose: RemoteModelAgent._request imports urllib (which loads
+# ssl and http.client) and rng._philox_key numpy.random, on first use
+DEFERRED = ("ssl", "urllib.request", "http.client", "numpy.random")
+
+
+def test_importing_the_cli_defers_what_only_some_runs_need():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    code = f"import sys, zerosum.cli; print([m for m in {DEFERRED!r} if m in sys.modules])"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

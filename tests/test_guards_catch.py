@@ -8,17 +8,20 @@ without its mutant and fail, as named, with it: a guard whose check has
 drifted into a no-op fails here.
 """
 
+import contextlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from test_acceptance import c09_verdict
 from test_edit_sweep import sweep
-from zerosum import _kernels, agents, cli, gen, solver
+from test_option_sweep import BASE, _argv, _exit_code, _sweep, write_inputs
+from zerosum import _kernels, agents, cli, gen, harness, solver
 from zerosum.agents import NoisyOracleAgent
 from zerosum.core import canonical_json
 from zerosum.errors import ConstructionError, SolverError
-from zerosum.gen import GameSpec, dominated_pad, make_eval_set, sample_game
+from zerosum.gen import GameSpec, dominated_pad, make_eval_set, random_pad, sample_game
 from zerosum.harness import invariance_audit
 
 
@@ -72,6 +75,13 @@ def _off_value(monkeypatch):
         return replace(eq, value=eq.value + 1e-6)
 
     monkeypatch.setattr(gen, "solve_zero_sum_lp", off)
+
+
+# the dominated pad, verified when built: its reference pair must certify at 1e-8
+
+def _off_exploit(monkeypatch):
+    exploit = gen.raw_exploit
+    monkeypatch.setattr(gen, "raw_exploit", lambda matrix, pair: exploit(matrix, pair) + 1e-6)
 
 
 # exact permutation equivariance: the scoring kernel sums in sorted order
@@ -167,14 +177,50 @@ def _uncompared(monkeypatch):
     monkeypatch.setattr(gen, "_rebuilt", lambda what, d, rec: rec)
 
 
+# the option sweep: eval refuses a k below 1 (not exit 1) and a non-finite tau
+
+def _options_prepare(tmp_path):
+    with contextlib.chdir(tmp_path):
+        write_inputs(tmp_path)
+    return tmp_path
+
+
+def _options_check(tmp_path):
+    """The options whose swept values exit with a code the sweep does not allow."""
+    base = set(_argv("eval", BASE["eval"]))
+    with contextlib.chdir(tmp_path):
+        wrong = {next((a for a in argv if a not in base), "").split("=")[0]
+                 for argv, codes in _sweep("eval") if _exit_code(argv) not in codes}
+    return f"wrong exits for {' '.join(sorted(wrong))}" if wrong else "ok"
+
+
+def _unchecked_k_tau(monkeypatch):
+    monkeypatch.setattr(harness, "_check_k_tau", lambda k, tau: None)
+
+
+# the acceptance gate: C09's dominated curve holds while dense and random collapse
+
+def _c09_check(state):
+    ok, _ = c09_verdict()
+    return "ok" if ok else "FAIL"
+
+
+def _random_for_dominated(monkeypatch):
+    monkeypatch.setattr(harness, "dominated_pad", random_pad)
+
+
 # guard -> (prepare, check, mutant, the check's outcome under the mutant)
 GUARDS = {
     "lp certificate": (_lp_prepare, _lp_check, _nudge_y, "SolverError"),
     "dominated pad value": (_pad_prepare, _pad_check, _off_value, "ConstructionError"),
+    "dominated pad certificate": (_pad_prepare, _pad_check, _off_exploit, "ConstructionError"),
     "permutation audit": (_audit_prepare, _audit_check, _storage_order_sums, "not ok"),
     "rescore": (_rescore_prepare, _rescore_check, _float32_weights, "exit 3"),
     "solver routes": (_routes_prepare, _routes_check, _off_support_value, "exit 3"),
     "edit sweep": (_sweep_prepare, _sweep_check, _uncompared, "violations"),
+    "option sweep": (_options_prepare, _options_check, _unchecked_k_tau,
+                     "wrong exits for --k --tau"),
+    "acceptance C09": (lambda tmp_path: None, _c09_check, _random_for_dominated, "FAIL"),
 }
 
 

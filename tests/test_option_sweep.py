@@ -131,16 +131,22 @@ def test_every_option_is_classified():
     assert set(BASE) == set(cli._COMMANDS)
 
 
-@pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_no_option_value_exits_1(command, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def write_inputs(tmp_path) -> dict:
+    """Write the sweep's input files into tmp_path, the working directory;
+    return each one's bytes by name."""
     (tmp_path / "a_directory").mkdir()
     assert cli.main(["gen", "--n", "3", "--count", "2", "--seed", "7", "--out", "g.jsonl"]) == 0
     assert cli.main(["gen", "--n", "2", "--count", "2", "--seed", "7", "--out", "g2.jsonl"]) == 0
     assert cli.main(["eval", "--in", "g.jsonl", "--agent", "uniform", "--out", "r0.json"]) == 0
     (tmp_path / "not_utf8.cfg").write_bytes(b"count=2\n\xff\xfe\n")
-    inputs = {name: (tmp_path / name).read_bytes()
-              for name in ("g.jsonl", "g2.jsonl", "r0.json", "not_utf8.cfg")}
+    return {name: (tmp_path / name).read_bytes()
+            for name in ("g.jsonl", "g2.jsonl", "r0.json", "not_utf8.cfg")}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_no_option_value_exits_1(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    inputs = write_inputs(tmp_path)
     assert _exit_code(_argv(command, BASE[command])) == 0, capsys.readouterr().err
     wrong = []
     runs = list(_sweep(command))

@@ -153,6 +153,20 @@ class TestRandomPad:
         assert rec.certificate["reference_exploit"] == resid
         assert "padded_value" not in rec.certificate
 
+    def test_certifies_once_when_first_read(self, monkeypatch):
+        # counted where the record looks raw_exploit up, on the gen module
+        calls = []
+        exploit = gen.raw_exploit
+        monkeypatch.setattr(gen, "raw_exploit",
+                            lambda matrix, pair: calls.append(matrix.n) or exploit(matrix, pair))
+        rec = random_pad(base_game(seed=4), 6)
+        assert calls == []
+        cert = rec.certificate
+        assert calls == [6]
+        rec.to_json_dict()
+        assert rec.certificate is cert
+        assert calls == [6]
+
     def test_rejects_non_growing_target(self):
         base = base_game(seed=0)
         for target in (3, 2):
@@ -361,6 +375,12 @@ class TestPaddedSerialization:
         before = dict(rec.certificate)
         rec.to_json_dict()["certificate"]["extra"] = 1.0
         assert rec.certificate == before
+
+    def test_the_certificate_is_read_only(self):
+        rec = random_pad(sample_game(GameSpec(n=3, seed=4)), 6)
+        with pytest.raises(TypeError):
+            rec.certificate["base_value"] = 99.0
+        assert rec.to_json_dict()["certificate"]["base_value"] == rec.base.equilibrium.value
 
     def test_rejects_unknown_schema(self):
         d = random_pad(base_game(seed=1), 8).to_json_dict()

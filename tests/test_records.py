@@ -251,7 +251,8 @@ HAND_WRITTEN = {
     ("gen", "GameRecord", "to_json_dict"): "writes each matrix's meta from the spec",
     ("gen", "GameRecord", "from_json_dict"): "rebuilds the record from its spec and raw entries",
     ("gen", "PaddedGameRecord", "to_json_dict"):
-        "writes the padded matrix's meta from the base's spec",
+        "writes the padded matrix's meta from the base's spec, and the derived reference "
+        "pair and certificate",
     ("gen", "PaddedGameRecord", "from_json_dict"):
         "rebuilds the record from its base, kind and padded size",
     ("agents", "RemoteModelConfig", "from_json_dict"): "raises ConfigError, not ContractViolation",

@@ -5,7 +5,8 @@ makes, against the package as it is, and that a traced evaluation still
 passes through every traced name once per game or per response: a faster
 path that routes around one would hide its calls from the benchmark. The
 block agent answers each distinct block once, so a traced padding
-experiment counts one LP and one parse per distinct block, not per game."""
+experiment counts one LP and one parse per distinct block, not per game,
+and one certificate per dominated pad, since nothing reads a random pad's."""
 
 import importlib.util
 import os
@@ -87,6 +88,8 @@ def test_a_traced_padding_experiment_solves_and_parses_each_block_once():
     # a dominated pad and a random pad of one base share their top-left block
     assert len(blocks) < len(answers) < len(agent.games) == count * (1 + 3 * len(targets))
     base_solves, padded_checks = count, count * len(targets)
-    assert {name: calls[name] for name in ("solver.lp", "agents.propose", "agents.parse")} == {
+    assert {name: calls[name] for name in (
+        "solver.lp", "solver.raw_exploit", "agents.propose", "agents.parse")} == {
         "solver.lp": base_solves + padded_checks + len(blocks),
+        "solver.raw_exploit": padded_checks,
         "agents.propose": len(agent.games), "agents.parse": len(answers)}

@@ -17,7 +17,10 @@ Parsing contract: the first JSON object literal in the text containing both
 "row" and "col" keys is the candidate. The scan tries, in text order, each
 "{" whose next character other than JSON whitespace (space, tab, newline,
 carriage return) is '"': at any other "{" a JSON object either fails to
-decode or is "{}", which holds neither key. Failures are classified as one of
+decode or is "{}", which holds neither key. It stops at the last '"row"',
+'"col"' or backslash of the text, since an object holds either key only if
+the key follows its "{", written literally or through a \\u escape.
+Failures are classified as one of
   malformed          no parseable object with the keys / non-numeric weights
   missing_field      an object had exactly one of the two keys
   length_mismatch    vector lengths differ from the game size
@@ -83,7 +86,11 @@ _KEYED_OBJECT_START = re.compile(r'\{[ \t\n\r]*"')
 
 
 def _iter_json_objects(text: str):
-    for match in _KEYED_OBJECT_START.finditer(text):
+    # an object can hold "row" or "col" only if that key follows its "{",
+    # written literally or through a \u escape: no "{" after the last such
+    # text can give the candidate or a partial object, so none is tried
+    last = max(text.rfind('"row"'), text.rfind('"col"'), text.rfind("\\"))
+    for match in _KEYED_OBJECT_START.finditer(text, 0, last + 1):
         try:
             obj, _ = _DECODER.raw_decode(text, match.start())
         except ValueError:

@@ -316,22 +316,55 @@ def _read_json(path: str):
         raise ConfigError(f"{path}: not JSON: {exc}") from None
 
 
-def _read_record(d):
-    """The game or padded record of one JSON line. Any padrec tag goes to the
+def _is_padded(d) -> bool:
+    """Whether a JSON line is a padded record: any padrec tag goes to the
     padded reader, so a line of an older padrec schema is told to pad again."""
-    padded = str(_schema(d)).startswith("padrec/")
-    return (PaddedGameRecord if padded else GameRecord).from_json_dict(d)
+    return str(_schema(d)).startswith("padrec/")
+
+
+def _read_record(d):
+    """The game or padded record of one JSON line."""
+    return (PaddedGameRecord if _is_padded(d) else GameRecord).from_json_dict(d)
+
+
+# game lines parsed before they are built as one batch: enough to share the
+# per-group work, few enough that a file's parsed lines are not all held at once
+_READ_CHUNK = 32
 
 
 def _load_records(path: str) -> list:
-    records = []
+    """The records of a JSONL file, in file order. Game lines are built
+    _READ_CHUNK at a time, a size group at a time, and padded lines one at a
+    time. The first bad line is a ConfigError: lines parsed before a line
+    that is not JSON are built before it is reported."""
+    records, games = [], []  # games: parsed game lines not yet built
+
+    def read(reader, arg):
+        try:
+            return reader(arg)
+        except (ValueError, KeyError) as exc:  # not a valid record
+            raise ConfigError(f"{path}: bad record: {exc}") from None
+
+    def build_games():
+        records.extend(read(GameRecord.from_json_dicts, games))
+        games.clear()
+
     for line in _lines(path):
         if not line.strip():
             continue
         try:
-            records.append(_read_record(json.loads(line)))
-        except (ValueError, KeyError) as exc:  # not JSON, or not a valid record
+            d = json.loads(line)
+        except ValueError as exc:
+            build_games()
             raise ConfigError(f"{path}: bad record: {exc}") from None
+        if _is_padded(d):
+            build_games()
+            records.append(read(_read_record, d))
+        else:
+            games.append(d)
+            if len(games) == _READ_CHUNK:
+                build_games()
+    build_games()
     if not records:
         raise ConfigError(f"{path}: no records")
     return records

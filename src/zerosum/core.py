@@ -193,6 +193,15 @@ class PayoffMatrix:
             raise ContractViolation("payoff entries must be finite")
         object.__setattr__(self, "entries", _frozen_array(arr))
 
+    @classmethod
+    def _owning(cls, entries: np.ndarray) -> "PayoffMatrix":
+        """The matrix of entries, a read-only float64 square array (n >= 2, all
+        finite) that its caller has checked; it is not checked or copied again.
+        Only the game-record builder and normalized_stack's callers build this way."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -287,30 +296,44 @@ class ExploitReport:
 
 
 def normalize_payoffs(matrix: PayoffMatrix) -> PayoffMatrix:
-    """Rescale payoffs to A <- 2A / (max A - min A).
+    """Rescale payoffs to A <- 2A / (max A - min A): normalized_stack on a stack of one."""
+    return PayoffMatrix._owning(normalized_stack(matrix.entries[None])[0])
+
+
+def normalized_stack(stack: np.ndarray) -> np.ndarray:
+    """Each matrix of a (G, n, n) stack of finite float64 matrices rescaled to
+    A <- 2A / (max A - min A), as a new read-only stack.
 
     A constant matrix has no scale to normalize, so entry (0, 0) is bumped
     by +1 first; the result has span 2 up to a few units of rounding. A
     span that overflows float range (entries near +-1e308), or one so small
     that 2 / span does (a subnormal span, or a constant matrix whose bump
-    is lost to rounding), raises ContractViolation.
+    is lost to rounding), raises ContractViolation naming the first such
+    matrix. The spans are checked on Python floats, so no check warns, and
+    each matrix is scaled elementwise: its bits do not depend on the stack.
+    A scaled entry is at most 2 max|A| / span, and the span of two distinct
+    floats keeps that far below float max, so every result is finite.
     """
-    arr = np.array(matrix.entries)
-    lo = arr.min()
-    hi = arr.max()
-    if hi == lo:
-        arr[0, 0] += 1.0
-        lo = arr.min()
-        hi = arr.max()
-    span = float(hi) - float(lo)
-    if not math.isfinite(span):
-        raise ContractViolation(
-            f"payoff span {float(hi)!r} - {float(lo)!r} overflows float range; cannot normalize"
-        )
-    if not (span > 0.0 and math.isfinite(2.0 / span)):
-        raise ContractViolation(f"payoff span {span!r} is too small: 2 / span overflows float range")
-    arr *= 2.0 / (hi - lo)
-    return PayoffMatrix(arr)
+    arr = np.array(stack)
+    rows = arr.reshape(len(arr), -1)
+    scales = []
+    for g, (top, bottom) in enumerate(zip(np.maximum.reduce(rows, axis=1).tolist(),
+                                          np.minimum.reduce(rows, axis=1).tolist())):
+        if top == bottom:
+            rows[g, 0] += 1.0
+            top, bottom = float(rows[g].max()), float(rows[g].min())
+        span = top - bottom
+        if not math.isfinite(span):
+            raise ContractViolation(
+                f"payoff span {top!r} - {bottom!r} overflows float range; cannot normalize"
+            )
+        if not (span > 0.0 and math.isfinite(2.0 / span)):
+            raise ContractViolation(
+                f"payoff span {span!r} is too small: 2 / span overflows float range")
+        scales.append(2.0 / span)
+    rows *= np.array(scales)[:, None]
+    arr.flags.writeable = False
+    return arr
 
 
 def regrets(matrix: PayoffMatrix, pair: StrategyPair) -> tuple[float, float, float]:

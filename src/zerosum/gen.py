@@ -50,10 +50,11 @@ from .core import (
     MixedStrategy,
     PayoffMatrix,
     StrategyPair,
+    _float_array,
     content_digest,
     field_dict,
     from_fields,
-    normalize_payoffs,
+    normalized_stack,
 )
 from .errors import ConstructionError, ContractViolation
 from .rng import child_seed, generator, root_seed, standard_normal
@@ -133,11 +134,19 @@ class GameRecord(_SolvesItsLP):
     def from_json_dict(cls, d: dict) -> "GameRecord":
         """The record rebuilt from d's spec and raw entries, if d equals its JSON
         form: a record reads back only as gen writes it."""
+        return _read_game_records([d])[0]
+
+    @classmethod
+    def from_json_dicts(cls, ds: list) -> list["GameRecord"]:
+        """The records of JSON dicts ds, in order, each read as from_json_dict
+        reads it but built a size group at a time. If any d is bad, ds are read
+        again one at a time, so the first bad one raises its own error."""
         try:
-            rec = _game_record(GameSpec.from_json_dict(d["spec"]), d["raw"]["entries"])
-        except TypeError as exc:  # d or its raw is not a JSON object
-            raise ContractViolation(f"bad {cls.__name__}: {exc}") from None
-        return _rebuilt("record", d, rec)
+            return _read_game_records(ds)
+        except (ValueError, KeyError):
+            if len(ds) < 2:
+                raise
+        return [_read_game_records([d])[0] for d in ds]
 
 
 def _provenance(spec: GameSpec, normalized: bool) -> dict:
@@ -170,23 +179,88 @@ def _draw_raw(spec: GameSpec) -> np.ndarray:
     return np.where(mask, values, 0.0)
 
 
-def _game_record(spec: GameSpec, raw_entries) -> GameRecord:
-    """The one builder of a game record: spec with raw_entries as its draw.
+def _read_game_records(ds: list) -> list[GameRecord]:
+    """The records of JSON dicts ds: each one's spec parsed, the records built
+    from the specs and raw entries, and each accepted only if its d equals
+    its JSON form."""
+    try:
+        specs = [GameSpec.from_json_dict(d["spec"]) for d in ds]
+        records = _game_records(specs, [d["raw"]["entries"] for d in ds])
+    except TypeError as exc:  # a d or its raw is not a JSON object
+        raise ContractViolation(f"bad GameRecord: {exc}") from None
+    return [_rebuilt("record", d, rec) for d, rec in zip(ds, records)]
 
-    sample_game passes the entries it draws, GameRecord.from_json_dict the
-    entries it reads.
+
+def _game_records(specs: list, raws: list) -> list[GameRecord]:
+    """The one builder of game records: each spec with its raw entries as its draw.
+
+    The readers pass the specs and entries they read; sample_game builds its
+    draw, a group of one, with _size_group directly. Records are built a
+    size group at a time (_size_group): one float conversion with its
+    item-type scan, one shape and finiteness check and one normalization
+    pass per group, then each record's id. A lone record, or a group whose
+    entries fail a check, is built by _game_record, from a checked
+    PayoffMatrix, so a bad record raises the error it raises alone.
     """
+    groups = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(spec.n, []).append(i)
+    records = [None] * len(specs)
+    for n, group in groups.items():
+        stack = _raw_stack(n, [raws[i] for i in group]) if len(group) > 1 else None
+        if stack is None:
+            built = [_game_record(specs[i], raws[i]) for i in group]
+        else:
+            built = _size_group([specs[i] for i in group], stack,
+                                [PayoffMatrix._owning(entries) for entries in stack])
+        for i, rec in zip(group, built):
+            records[i] = rec
+    return records
+
+
+def _raw_stack(n: int, raws: list) -> np.ndarray | None:
+    """The read-only (G, n, n) float64 stack of G raw entry lists, converted
+    and type-scanned once and checked square and finite once; None if any
+    check fails."""
+    try:
+        stack = _float_array(raws, "payoff entries")
+    except (ValueError, TypeError):  # a ContractViolation, or lists numpy cannot stack
+        return None
+    if stack.shape != (len(raws), n, n) or not np.isfinite(stack).all():
+        return None
+    stack.flags.writeable = False
+    return stack
+
+
+def _game_record(spec: GameSpec, raw_entries) -> GameRecord:
+    """The record of one spec, its raw entries checked as a PayoffMatrix alone."""
     raw = PayoffMatrix(raw_entries)
     if raw.n != spec.n:
         raise ContractViolation(f"spec n={spec.n}, raw n={raw.n}")
-    matrix = normalize_payoffs(raw) if spec.normalize else raw
-    game_id = content_digest({"spec": spec.to_json_dict(), "raw": raw.entries.tolist()})
-    return GameRecord(spec=spec, matrix=matrix, raw=raw, id=game_id)
+    return _size_group([spec], raw.entries[None], [raw])[0]
+
+
+def _size_group(specs: list, stack: np.ndarray, raws: list) -> list[GameRecord]:
+    """The records of specs, all of one size, whose raw matrices raws hold
+    the checked stack's entries."""
+    matrices = list(raws)
+    scaled = [i for i, spec in enumerate(specs) if spec.normalize]
+    if scaled:
+        picked = stack if len(scaled) == len(specs) else stack[scaled]
+        for i, entries in zip(scaled, normalized_stack(picked)):
+            matrices[i] = PayoffMatrix._owning(entries)
+    return [
+        GameRecord(spec=spec, matrix=matrix, raw=raw,
+                   id=content_digest({"spec": spec.to_json_dict(), "raw": entries}))
+        for spec, matrix, raw, entries in zip(specs, matrices, raws, stack.tolist())
+    ]
 
 
 def sample_game(spec: GameSpec) -> GameRecord:
     """Draw one game; identical spec gives an identical record."""
-    return _game_record(spec, _draw_raw(spec))
+    raw = _draw_raw(spec)  # a finite float64 n x n draw: nothing to check or copy
+    raw.flags.writeable = False
+    return _size_group([spec], raw[None], [PayoffMatrix._owning(raw)])[0]
 
 
 def eval_game_spec(template: GameSpec, n: int, eval_seed: int, index: int) -> GameSpec:

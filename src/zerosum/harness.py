@@ -10,7 +10,6 @@ success for a game means best valid reward STRICTLY exceeds 1 - tau.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .agents import parse_response
@@ -134,6 +133,9 @@ def _propose(agent, games, k, jobs) -> list:
     game order, so scoring does not depend on completion order.
     """
     if jobs > 1:
+        # imported here: it loads logging and queue, which no serial run needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(lambda g: agent.propose(g, k), games))
     return [agent.propose(g, k) for g in games]

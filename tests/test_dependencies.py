@@ -69,8 +69,9 @@ def test_every_imported_name_is_used():
 
 
 # deferred on purpose: RemoteModelAgent._request imports urllib (which loads
-# ssl and http.client) and rng._philox_key numpy.random, on first use
-DEFERRED = ("ssl", "urllib.request", "http.client", "numpy.random")
+# ssl and http.client), rng._philox_key numpy.random and harness._propose
+# concurrent.futures (only for jobs > 1), on first use
+DEFERRED = ("ssl", "urllib.request", "http.client", "numpy.random", "concurrent.futures")
 
 
 def test_importing_the_cli_defers_what_only_some_runs_need():

@@ -9,6 +9,7 @@ drifted into a no-op fails here.
 """
 
 import contextlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -16,11 +17,13 @@ import pytest
 
 from test_acceptance import c09_verdict
 from test_edit_sweep import sweep
+from test_golden import GOLDEN, ROWS, mismatches, run_table
 from test_option_sweep import BASE, _argv, _exit_code, _sweep, write_inputs
-from zerosum import _kernels, agents, cli, gen, harness, solver
+from test_reader import _edited_entry, _infinite
+from zerosum import _kernels, agents, cli, core, gen, harness, solver
 from zerosum.agents import NoisyOracleAgent
 from zerosum.core import canonical_json
-from zerosum.errors import ConstructionError, SolverError
+from zerosum.errors import ConfigError, ConstructionError, SolverError
 from zerosum.gen import GameSpec, dominated_pad, make_eval_set, random_pad, sample_game
 from zerosum.harness import invariance_audit
 
@@ -177,6 +180,89 @@ def _uncompared(monkeypatch):
     monkeypatch.setattr(gen, "_rebuilt", lambda what, d, rec: rec)
 
 
+# the size-group reader: a group builds as its records build alone, and a
+# file's bad line is refused with the error it gets alone
+
+def _group_prepare(tmp_path):
+    games = [sample_game(GameSpec(n=4, distribution=dist, seed=i, normalize=i != 2))
+             for i, dist in enumerate(("integer", "gaussian", "sparse", "integer", "gaussian"))]
+    return tmp_path, [canonical_json(g.to_json_dict()) for g in games]
+
+
+def _group_check(state):
+    tmp_path, lines = state
+    ds = [json.loads(line) for line in lines]
+    specs = [GameSpec.from_json_dict(d["spec"]) for d in ds]
+    raws = [d["raw"]["entries"] for d in ds]
+    together = gen._game_records(specs, raws)
+    alone = [gen._game_records([spec], [raw])[0] for spec, raw in zip(specs, raws)]
+    if [(canonical_json(r.to_json_dict()), r.matrix.entries.tobytes()) for r in together] != \
+            [(canonical_json(r.to_json_dict()), r.matrix.entries.tobytes()) for r in alone]:
+        return "group differs"
+    for accepted, edit, error in (("edit accepted", _edited_entry, "matrix does not match"),
+                                  ("infinite entry accepted", _infinite, "must be finite")):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(line + "\n" for line in [lines[0], edit(lines[1]), *lines[2:]]))
+        try:
+            cli._load_records(str(path))
+        except ConfigError as exc:
+            if error not in str(exc):
+                return f"wrong error: {exc}"
+            continue
+        return accepted
+    return "ok"
+
+
+def _first_of_group_compared(monkeypatch):
+    rebuilt, seen = gen._rebuilt, set()
+
+    def first_only(what, d, rec):
+        if rec.n in seen:
+            return rec
+        seen.add(rec.n)
+        return rebuilt(what, d, rec)
+
+    monkeypatch.setattr(gen, "_rebuilt", first_only)
+
+
+def _first_factor(monkeypatch):
+    def first_factor(stack):
+        out = stack * (2.0 / np.ptp(stack[0]))
+        out.flags.writeable = False
+        return out
+
+    monkeypatch.setattr(gen, "normalized_stack", first_factor)
+
+
+def _unchecked_finite(monkeypatch):
+    def unchecked(n, raws):
+        stack = core._float_array(raws, "payoff entries")
+        return stack if stack.shape == (len(raws), n, n) else None
+
+    monkeypatch.setattr(gen, "_raw_stack", unchecked)
+
+
+# the golden table: every CLI output byte is pinned
+
+def _golden_check(tmp_path):
+    """The agents whose eval rows moved, or ok."""
+    moved = {line.split("'")[1] for line in mismatches(run_table(tmp_path),
+                                                     json.loads(GOLDEN.read_text()))}
+    agents = sorted({ROWS[name][ROWS[name].index("--agent") + 1].split(":")[0]
+                     for name in moved if name.startswith("eval ")})
+    return f"eval rows moved: {' '.join(agents)}" if moved else "ok"
+
+
+def _rounded_replies(monkeypatch):
+    reply = agents._reply
+
+    def rounded(row, col):
+        return reply(np.array([float(f"{x:.15g}") for x in row]),
+                     np.array([float(f"{x:.15g}") for x in col]))
+
+    monkeypatch.setattr(agents, "_reply", rounded)
+
+
 # the option sweep: eval refuses a k below 1 (not exit 1) and a non-finite tau
 
 def _options_prepare(tmp_path):
@@ -218,6 +304,15 @@ GUARDS = {
     "rescore": (_rescore_prepare, _rescore_check, _float32_weights, "exit 3"),
     "solver routes": (_routes_prepare, _routes_check, _off_support_value, "exit 3"),
     "edit sweep": (_sweep_prepare, _sweep_check, _uncompared, "violations"),
+    "group reader compares each line": (_group_prepare, _group_check, _first_of_group_compared,
+                                        "edit accepted"),
+    "group reader scales each matrix": (_group_prepare, _group_check, _first_factor,
+                                        "group differs"),
+    "group reader checks finiteness": (_group_prepare, _group_check, _unchecked_finite,
+                                       "infinite entry accepted"),
+    # maximin replies pure strategies, which 15 digits hold exactly
+    "golden table": (lambda tmp_path: tmp_path, _golden_check, _rounded_replies,
+                     "eval rows moved: block noisy oracle uniform"),
     "option sweep": (_options_prepare, _options_check, _unchecked_k_tau,
                      "wrong exits for --k --tau"),
     "acceptance C09": (lambda tmp_path: None, _c09_check, _random_for_dominated, "FAIL"),

@@ -5,16 +5,21 @@ same bits. tests/test_kernels.py keeps plain-Python loop versions of both
 as references and checks these kernels against them bitwise.
 
 - ``exploit_terms`` sums each product vector in ascending sorted order,
-  sequentially from the first sorted product (``cumsum``, never numpy's
-  pairwise ``sum``). The canonical order makes the certificate exactly
-  permutation-equivariant: permuting rows/columns of the game (and the
-  strategies with them) permutes each product multiset but never changes
-  the sorted sequence being summed. All three sums run along the last
-  axis: the column products are formed as ``a.swapaxes(-1, -2) * p``, so
-  column j is row j of a fresh contiguous array. Each product array is new,
-  so it is sorted in place with the ``ndarray.sort`` method and summed with
-  ``ndarray.cumsum``, which skip the copy and the dispatch of ``np.sort``
-  and ``np.cumsum``.
+  sequentially from the first sorted product (``np.add.accumulate``, never
+  numpy's pairwise ``sum``). The canonical order makes the certificate
+  exactly permutation-equivariant: permuting rows/columns of the game (and
+  the strategies with them) permutes each product multiset but never
+  changes the sorted sequence being summed. All sums run along the last
+  axis, in one buffer of shape ``(..., 2n, n)`` per call: its first n rows
+  are the row products ``a * q`` and its last n the column products
+  ``a.swapaxes(-1, -2) * p``, so column j is row n + j. ``np.multiply(...,
+  out=)`` writes both blocks into the buffer, which is sorted once in place
+  and accumulated once; each row is still sorted and summed on its own, so
+  its sum is bitwise that of the row alone. The row sums are copied to one
+  contiguous ``(..., 2n)`` array before ``np.maximum.reduce`` and
+  ``np.minimum.reduce`` read them: numpy reduces a contiguous vector and a
+  strided one by different loops, which can disagree on the sign of a zero
+  maximum or minimum, and the references reduce contiguous vectors.
 - ``lp_kernel`` is a dense tableau simplex for  max 1.y  s.t. ap @ y <= 1,
   y >= 0  with ap strictly positive. Entering variable: smallest index with
   reduced cost below -RC_TOL (Bland's rule). Leaving row: minimum ratio,
@@ -43,16 +48,17 @@ def exploit_terms_batch(a, p, q):
     are sorted and summed along the last axis of their own block, so row g
     of a stack is bitwise the result for p[g], q[g] alone.
     """
-    aq = a * q[..., None, :]
-    aq.sort()
-    aq = aq.cumsum(axis=-1)[..., -1]
-    pa = a.swapaxes(-1, -2) * p[..., None, :]
-    pa.sort()
-    pa = pa.cumsum(axis=-1)[..., -1]
+    n = a.shape[-1]
+    buf = np.empty((*p.shape[:-1], 2 * n, n))
+    np.multiply(a, q[..., None, :], out=buf[..., :n, :])
+    np.multiply(a.swapaxes(-1, -2), p[..., None, :], out=buf[..., n:, :])
+    buf.sort()
+    sums = np.add.accumulate(buf, axis=-1)[..., -1].copy()
+    aq = sums[..., :n]
     v = p * aq
     v.sort()
-    v = v.cumsum(axis=-1)[..., -1]
-    return aq.max(axis=-1), pa.min(axis=-1), v
+    v = np.add.accumulate(v, axis=-1)[..., -1]
+    return np.maximum.reduce(aq, axis=-1), np.minimum.reduce(sums[..., n:], axis=-1), v
 
 
 def exploit_terms(a, p, q):

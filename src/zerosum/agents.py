@@ -2,8 +2,9 @@
 
 An agent is anything with a ``name`` and ``propose(game, k) ->
 list[AgentResponse]``. The oracle and noisy agents take a game record (a
-``GameRecord`` or ``PaddedGameRecord``) and answer its own ``equilibrium``;
-the others read only its ``n``, ``matrix`` and ``id``. Built-in agents
+``GameRecord`` or ``PaddedGameRecord``) and answer its own ``equilibrium``,
+and so does the block solver when its block is the whole game; the others
+read only its ``n``, ``matrix`` and ``id``. Built-in agents
 (uniform, maximin, oracle, noisy, block solver) are deterministic given
 (game, seed) and emit their pair through the same serialize -> parse path
 used for model output, so every reward in the system is computed from raw
@@ -229,14 +230,18 @@ class BlockSolverAgent:
     top-left block and near-arbitrary strategies otherwise; used to show the
     padding-cliff harness separates its three conditions.
 
-    Each instance answers each distinct block once: it keeps the LP pair of
-    every block it has solved, keyed by the block's raw bytes, and the parsed
-    answer for every (game size, block) it has answered. A padded game whose
-    top-left block is a base game it already saw reuses that solve. The
-    answer is a fixed function of those bytes, so the cache changes no output
-    bit; it lives and grows with the instance, and two instances share
-    nothing. Two threads that miss on one block at once both solve it, to
-    the same result.
+    A block that is the whole game (block_n >= n) is the game record's own
+    matrix, so its pair is the record's ``equilibrium`` pair, solved once by
+    the record for every reader; any smaller block is solved here. Each
+    instance answers each distinct block once: it keeps the LP pair of every
+    block it has solved or read, keyed by the block's raw bytes, and the
+    parsed answer for every (game size, block) it has answered. A padded
+    game whose top-left block is a base game it already saw reuses that
+    pair. The answer is a fixed function of those bytes, so the cache
+    changes no output bit; it lives and grows with the instance, and two
+    instances share nothing. Two threads that miss on one block at once
+    both solve it, or both read the record's equilibrium, which the record
+    may then solve twice; either way to the same result.
     """
 
     def __init__(self, block_n: int = 3):
@@ -257,7 +262,9 @@ class BlockSolverAgent:
         if resp is None:
             pair = self._pairs.get(key)
             if pair is None:
-                pair = self._pairs[key] = solve_zero_sum_lp(PayoffMatrix(entries)).pair
+                # a block that is the whole game is the record's own matrix
+                eq = game.equilibrium if b == n else solve_zero_sum_lp(PayoffMatrix(entries))
+                pair = self._pairs[key] = eq.pair
             row = np.zeros(n)
             row[:b] = pair.row.probs
             col = np.zeros(n)

@@ -225,6 +225,22 @@ def is_strategy(arr: np.ndarray) -> np.ndarray:
     return finite & nonnegative & (np.abs(arr.sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL)
 
 
+def _check_weights(arr: np.ndarray) -> None:
+    """ContractViolation unless float64 arr is a nonempty vector of finite,
+    nonnegative weights summing within SIMPLEX_SUM_TOL of 1: the one rule
+    every MixedStrategy is checked by."""
+    if arr.ndim != 1 or arr.shape[0] < 1:
+        raise ContractViolation(f"strategy must be a nonempty vector, got shape {arr.shape}")
+    values = arr.tolist()  # checked on Python floats, as project_to_simplex does
+    if not all(map(math.isfinite, values)):
+        raise ContractViolation("strategy weights must be finite")
+    if not min(values) >= 0.0:
+        raise ContractViolation("strategy weights must be nonnegative")
+    mass = _mass(arr, max(values))
+    if not abs(mass - 1.0) <= SIMPLEX_SUM_TOL:
+        raise ContractViolation(f"strategy weights sum to {mass!r}, not 1")
+
+
 @dataclass(frozen=True, eq=False)
 class MixedStrategy:
     """Probability vector on the action simplex."""
@@ -233,24 +249,23 @@ class MixedStrategy:
 
     def __post_init__(self):
         arr = _float_array(self.probs, "strategy weights")
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            raise ContractViolation(f"strategy must be a nonempty vector, got shape {arr.shape}")
-        values = arr.tolist()  # checked on Python floats, as project_to_simplex does
-        if not all(map(math.isfinite, values)):
-            raise ContractViolation("strategy weights must be finite")
-        if not min(values) >= 0.0:
-            raise ContractViolation("strategy weights must be nonnegative")
-        mass = _mass(arr, max(values))
-        if not abs(mass - 1.0) <= SIMPLEX_SUM_TOL:
-            raise ContractViolation(f"strategy weights sum to {mass!r}, not 1")
+        _check_weights(arr)
         object.__setattr__(self, "probs", _frozen_array(arr))
+
+    @classmethod
+    def _checked(cls, probs: np.ndarray) -> "MixedStrategy":
+        """The strategy of probs, a new float64 vector its caller owns: checked
+        by the rule __post_init__ applies, then frozen in place, not copied."""
+        _check_weights(probs)
+        return cls._owning(probs)
 
     @classmethod
     def _owning(cls, probs: np.ndarray) -> "MixedStrategy":
         """The strategy of probs, a new float64 vector its caller has checked.
 
         probs is frozen in place and not checked again; only
-        project_to_simplex, which checks its vector once, builds this way.
+        project_to_simplex, which checks its vector once, and _checked build
+        this way.
         """
         probs.setflags(write=False)
         strategy = object.__new__(cls)

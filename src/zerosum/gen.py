@@ -307,7 +307,7 @@ class PaddedGameRecord(_SolvesItsLP):
         row[list(self.row_map)] = pair.row.probs
         col = np.zeros(self.n)
         col[list(self.col_map)] = pair.col.probs
-        return StrategyPair(row=MixedStrategy(row), col=MixedStrategy(col))
+        return StrategyPair(row=MixedStrategy._checked(row), col=MixedStrategy._checked(col))
 
     @functools.cached_property
     def certificate(self) -> MappingProxyType:

@@ -75,7 +75,8 @@ def solve_zero_sum_lp(matrix: PayoffMatrix) -> Equilibrium:
     if matrix.n > MAX_N:
         raise ContractViolation(f"LP solver is bounded at n <= {MAX_N}, got {matrix.n}")
     a = matrix.entries
-    shift = 1.0 - float(a.min())
+    # ufunc reductions: the bits of a.min() and y.sum() without their wrappers
+    shift = 1.0 - float(np.minimum.reduce(a, axis=None))
     status, y, duals, obj, iters, degenerate = lp_kernel(a + shift, MAX_PIVOTS)
     if status == 1:
         raise SolverError(f"simplex exceeded {MAX_PIVOTS} pivots", instance=a)
@@ -83,13 +84,14 @@ def solve_zero_sum_lp(matrix: PayoffMatrix) -> Equilibrium:
         raise SolverError("simplex reported an unbounded LP on a shifted game", instance=a)
     y = np.maximum(y, 0.0)
     duals = np.maximum(duals, 0.0)
-    y_mass = y.sum()
-    dual_mass = duals.sum()
+    y_mass = np.add.reduce(y)
+    dual_mass = np.add.reduce(duals)
     if y_mass <= 0.0 or dual_mass <= 0.0:
         raise SolverError("simplex returned an empty strategy", instance=a)
+    # each quotient is a new vector, checked once and frozen without a copy
     pair = StrategyPair(
-        row=MixedStrategy(duals / dual_mass),
-        col=MixedStrategy(y / y_mass),
+        row=MixedStrategy._checked(duals / dual_mass),
+        col=MixedStrategy._checked(y / y_mass),
     )
     value = 1.0 / obj - shift
     row_regret, col_regret, pay = regrets(matrix, pair)

@@ -11,7 +11,6 @@ import re
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from zerosum import (
     solve_zero_sum_lp,
     uniform_pair,
 )
+from zerosum import gen
 from zerosum.core import MixedStrategy, StrategyPair, content_digest
 
 GAME = sample_game(GameSpec(n=2, distribution="integer", seed=0))
@@ -292,10 +292,13 @@ def _counting_lp(monkeypatch) -> list:
 
 def _signed_zero_games():
     # rock-paper-scissors, once with +0.0 on the diagonal and once with -0.0:
-    # equal values, different bytes
+    # equal values, different bytes. Each is the top-left block of a 4 x 4
+    # record, so the block agent solves it rather than reading a record's
+    # equilibrium, and the records are unnormalized, so the -0.0 bytes survive
     rps = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
     signed = np.where(rps == 0, -0.0, rps)
-    return [SimpleNamespace(n=3, matrix=PayoffMatrix(m)) for m in (rps, signed)]
+    raws = [np.pad(block, (0, 1), constant_values=2.0).tolist() for block in (rps, signed)]
+    return gen._game_records([GameSpec(n=4, seed=4, normalize=False)] * 2, raws)
 
 
 class TestBlockAgentCache:
@@ -310,7 +313,7 @@ class TestBlockAgentCache:
 
     def test_a_shared_agent_answers_as_a_fresh_one(self, monkeypatch):
         games = self._games()
-        assert len({g.matrix.entries.tobytes() for g in _signed_zero_games()}) == 2
+        assert len({g.matrix.entries[:3, :3].tobytes() for g in _signed_zero_games()}) == 2
         fresh = [BlockSolverAgent(3).propose(g, 2) for g in games]
         solved = _counting_lp(monkeypatch)
         shared = BlockSolverAgent(3)
@@ -321,17 +324,21 @@ class TestBlockAgentCache:
                 assert a.parsed.row.probs.tobytes() == b.parsed.row.probs.tobytes()
                 assert a.parsed.col.probs.tobytes() == b.parsed.col.probs.tobytes()
         blocks = {g.matrix.entries[:3, :3].tobytes() for g in games}
-        # each distinct block once, the -0.0 block apart from the +0.0 one
-        assert sorted(solved) == sorted(blocks)
-        assert len(blocks) < len(games)
+        whole = {g.matrix.entries.tobytes() for g in games if g.n == 3}
+        # each distinct block once, the -0.0 block apart from the +0.0 one;
+        # a block that is a whole game is read from its record, not solved
+        assert sorted(solved) == sorted(blocks - whole)
+        assert whole < blocks and len(blocks) < len(games)
 
     def test_two_instances_share_nothing(self, monkeypatch):
+        # games larger than the block, whose block the agent itself solves
+        small, large = dominated_pad(GAME3, 6), dominated_pad(GAME3, 8)
         solved = _counting_lp(monkeypatch)
         first, second = BlockSolverAgent(3), BlockSolverAgent(3)
-        first.propose(GAME3, 1)
-        first.propose(dominated_pad(GAME3, 6), 1)
+        first.propose(small, 1)
+        first.propose(large, 1)
         assert len(solved) == 1
-        second.propose(GAME3, 1)
+        second.propose(small, 1)
         assert len(solved) == 2
 
     def test_a_thread_pool_gives_the_serial_report(self):

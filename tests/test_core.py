@@ -49,7 +49,31 @@ class TestPayoffMatrix:
             m.entries[0, 0] = 5.0
 
 
+# (weights, the error both strategy constructors refuse them with)
+STRATEGY_REFUSALS = [
+    ([0.5, float("nan")], "strategy weights must be finite"),
+    ([1.5, -0.5], "strategy weights must be nonnegative"),
+    ([1.0, 0.5], "strategy weights sum to 1.5, not 1"),
+    ([0.5, 0.25], "strategy weights sum to 0.75, not 1"),
+    ([[0.5, 0.5]], "strategy must be a nonempty vector, got shape (1, 2)"),
+]
+
+
 class TestMixedStrategy:
+    @pytest.mark.parametrize("weights, error", STRATEGY_REFUSALS)
+    def test_the_checked_constructor_refuses_as_the_dataclass_does(self, weights, error):
+        # the solver builds its strategies through _checked: one rule, one message
+        for build in (MixedStrategy, MixedStrategy._checked):
+            with pytest.raises(ContractViolation) as info:
+                build(np.array(weights))
+            assert str(info.value) == error
+
+    def test_the_checked_constructor_freezes_its_vector_in_place(self):
+        probs = np.array([0.25, 0.75])
+        strategy = MixedStrategy._checked(probs)
+        assert strategy.probs is probs and not probs.flags.writeable
+        assert probs.tobytes() == MixedStrategy([0.25, 0.75]).probs.tobytes()
+
     def test_validates_simplex_membership(self):
         with pytest.raises(ContractViolation):
             MixedStrategy(np.array([0.6, 0.6]))

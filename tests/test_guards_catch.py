@@ -16,14 +16,20 @@ import numpy as np
 import pytest
 
 from test_acceptance import c09_verdict
+from test_core import STRATEGY_REFUSALS, TestMixedStrategy
 from test_edit_sweep import sweep
 from test_golden import GOLDEN, ROWS, mismatches, run_table
+from test_kernels import (
+    _parity_games,
+    test_exploit_terms_batch_matches_the_reference_on_pairs_and_stacks,
+    test_exploit_terms_numpy_matches_reference_bitwise,
+)
 from test_option_sweep import BASE, _argv, _exit_code, _sweep, write_inputs
 from test_reader import _edited_entry, _infinite
 from zerosum import _kernels, agents, cli, core, gen, harness, solver
 from zerosum.agents import NoisyOracleAgent
 from zerosum.core import canonical_json
-from zerosum.errors import ConfigError, ConstructionError, SolverError
+from zerosum.errors import ConfigError, ConstructionError, ContractViolation, SolverError
 from zerosum.gen import GameSpec, dominated_pad, make_eval_set, random_pad, sample_game
 from zerosum.harness import invariance_audit
 
@@ -110,6 +116,70 @@ def _storage_order_sums(monkeypatch):
         return aq.max(axis=-1), pa.min(axis=-1), v
 
     monkeypatch.setattr(_kernels, "exploit_terms_batch", storage_order)
+
+
+# kernel parity: the fused exploitability kernel is bitwise its plain-Python reference
+
+def _parity_check(state):
+    """The kernel parity tests that fail, or ok."""
+    failed = []
+    for test in (test_exploit_terms_numpy_matches_reference_bitwise,
+                 test_exploit_terms_batch_matches_the_reference_on_pairs_and_stacks):
+        try:
+            test()
+        except AssertionError:
+            failed.append(test.__name__)
+    return f"fails: {' '.join(failed)}" if failed else "ok"
+
+
+def _swapped_halves(monkeypatch):
+    def swapped(a, p, q):
+        n = a.shape[-1]
+        buf = np.empty((*p.shape[:-1], 2 * n, n))
+        np.multiply(a, q[..., None, :], out=buf[..., :n, :])
+        np.multiply(a.swapaxes(-1, -2), p[..., None, :], out=buf[..., n:, :])
+        buf.sort()
+        sums = np.add.accumulate(buf, axis=-1)[..., -1].copy()
+        aq, pa = sums[..., n:], sums[..., :n]  # each half read as the other
+        v = p * aq
+        v.sort()
+        v = np.add.accumulate(v, axis=-1)[..., -1]
+        return np.maximum.reduce(aq, axis=-1), np.minimum.reduce(pa, axis=-1), v
+
+    monkeypatch.setattr(_kernels, "exploit_terms_batch", swapped)
+
+
+# the checked strategy constructor: a vector its caller owns, such as an LP
+# solution, is refused as the dataclass refuses it
+
+def _strategy_check(state):
+    """Whether a vector of mass 1.5 is accepted and the refusal test fails, or ok."""
+    test = TestMixedStrategy().test_the_checked_constructor_refuses_as_the_dataclass_does
+    try:
+        core.MixedStrategy._checked(np.array([1.0, 0.5]))
+        outcome = ["mass 1.5 accepted"]
+    except ContractViolation:
+        outcome = []
+    for weights, error in STRATEGY_REFUSALS:
+        try:
+            test(weights, error)
+        except pytest.fail.Exception:
+            outcome.append(f"{test.__name__} fails")
+            break
+    return ", ".join(outcome) or "ok"
+
+
+def _unchecked_mass(monkeypatch):
+    def no_sum_check(arr):
+        if arr.ndim != 1 or arr.shape[0] < 1:
+            raise ContractViolation(f"strategy must be a nonempty vector, got shape {arr.shape}")
+        values = arr.tolist()
+        if not all(map(np.isfinite, values)):
+            raise ContractViolation("strategy weights must be finite")
+        if not min(values) >= 0.0:
+            raise ContractViolation("strategy weights must be nonnegative")
+
+    monkeypatch.setattr(core, "_check_weights", no_sum_check)
 
 
 # bit-exact rescoring: a stored result is reproduced from its raw texts
@@ -301,6 +371,12 @@ GUARDS = {
     "dominated pad value": (_pad_prepare, _pad_check, _off_value, "ConstructionError"),
     "dominated pad certificate": (_pad_prepare, _pad_check, _off_exploit, "ConstructionError"),
     "permutation audit": (_audit_prepare, _audit_check, _storage_order_sums, "not ok"),
+    "kernel parity": (lambda tmp_path: _parity_games(), _parity_check, _swapped_halves,
+                      "fails: test_exploit_terms_numpy_matches_reference_bitwise "
+                      "test_exploit_terms_batch_matches_the_reference_on_pairs_and_stacks"),
+    "checked strategy": (lambda tmp_path: None, _strategy_check, _unchecked_mass,
+                         "mass 1.5 accepted, "
+                         "test_the_checked_constructor_refuses_as_the_dataclass_does fails"),
     "rescore": (_rescore_prepare, _rescore_check, _float32_weights, "exit 3"),
     "solver routes": (_routes_prepare, _routes_check, _off_support_value, "exit 3"),
     "edit sweep": (_sweep_prepare, _sweep_check, _uncompared, "violations"),

@@ -5,6 +5,8 @@ tolerance, with plain-Python loop versions of the same arithmetic.
 references: one scalar operation at a time, in the order the kernels'
 docstrings state."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -142,9 +144,11 @@ def test_exploit_terms_permutation_stable_bitwise():
         assert base == perm
 
 
+@functools.cache
 def _parity_games():
     """Seeded integer, gaussian and sparse games at n = 2..20, plus padded
-    games, whose dominated blocks give degenerate and tied ratio tests."""
+    games, whose dominated blocks give degenerate and tied ratio tests;
+    built once, so a test run under a patched kernel reads them as built."""
     games = []
     for dist in ("integer", "gaussian", "sparse"):
         for n in range(2, 21):
@@ -239,6 +243,97 @@ def test_exploit_terms_batch_matches_its_axis_form_bitwise():
             got = K.exploit_terms_batch(a, pp, qq)
             assert [x.tobytes() for x in map(np.asarray, got)] == \
                 [x.tobytes() for x in map(np.asarray, ref)], (a, pp, qq)
+
+
+def _hex(terms):
+    return tuple(float(x).hex() for x in terms)
+
+
+def _signed_zero_instance(rng, n, g):
+    """A matrix of small integers of one sign, whose zeros carry either sign,
+    with one row and one column of -0.0 (a row of products that are all
+    -0.0), and g strategy pairs: mixed, pure, and mixed with -0.0 weights.
+    The greatest row sum and the least column sum are then often zeros."""
+    a = rng.integers(-2, 1, size=(n, n)).astype(float) * rng.choice([1.0, -1.0])
+    zeros = a == 0.0
+    a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    a[rng.integers(n)] = -0.0
+    a[:, rng.integers(n)] = -0.0
+    p = rng.dirichlet(np.ones(n), size=g)
+    q = rng.dirichlet(np.ones(n), size=g)
+    for pq in (p, q):
+        for i in range(g):
+            kind = rng.integers(3)
+            if kind == 1:
+                pq[i] = np.eye(n)[rng.integers(n)]
+            elif kind == 2:
+                pq[i, rng.random(n) < 0.5] = -0.0
+    return a, p, q
+
+
+def test_exploit_terms_batch_matches_the_reference_on_pairs_and_stacks():
+    # each row of a (g, n) stack, and each pair alone, is bitwise the
+    # reference's result for that pair, the sign of every zero included
+    rng = np.random.default_rng(38)
+    negative_zeros = 0
+    for n in range(2, 21):
+        for _ in range(8):
+            a, p, q = _signed_zero_instance(rng, n, 4)
+            want = [_hex(_exploit_terms_impl(a, pp, qq)) for pp, qq in zip(p, q)]
+            stacked = K.exploit_terms_batch(a, p, q)
+            assert [x.shape for x in stacked] == [(4,)] * 3
+            assert [_hex(col[g] for col in stacked) for g in range(4)] == want, a
+            assert [_hex(K.exploit_terms_batch(a, pp, qq)) for pp, qq in zip(p, q)] == want, a
+            negative_zeros += sum(x == "-0x0.0p+0" for terms in want for x in terms)
+    assert negative_zeros > 0  # the set reaches the signed-zero outcomes
+
+
+def test_exploit_terms_batch_of_an_empty_stack_is_empty():
+    # support enumeration passes a (0, n) stack when no candidate survives
+    for n in (2, 5, 20):
+        a = np.arange(n * n, dtype=float).reshape(n, n)
+        terms = K.exploit_terms_batch(a, np.empty((0, n)), np.empty((0, n)))
+        assert [(x.shape, x.dtype) for x in terms] == [((0,), np.float64)] * 3
+
+
+def test_exploit_terms_batch_matches_the_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    signed_zero = st.sampled_from([0.0, -0.0])
+    # matrices of one sign make zero row maxima and column minima common
+    entries = st.sampled_from([
+        st.one_of(st.floats(-1e6, 1e6), st.integers(-3, 3).map(float), signed_zero),
+        st.one_of(st.integers(-2, 0).map(float), signed_zero),
+        st.one_of(st.integers(0, 2).map(float), signed_zero),
+    ])
+    weights = st.one_of(st.floats(0, 1), st.just(1.0), signed_zero)
+
+    @st.composite
+    def instances(draw):
+        n = draw(st.integers(2, 20))
+        lead = draw(st.sampled_from([(), (0,), (1,), (2,), (5,)]))
+        a = draw(hnp.arrays(np.float64, (n, n), elements=draw(entries)))
+        p = draw(hnp.arrays(np.float64, (*lead, n), elements=weights))
+        q = draw(hnp.arrays(np.float64, (*lead, n), elements=weights))
+        return a, p, q
+
+    # no shrink phase, as in the other property tests of large arrays
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+    @hypothesis.given(instances())
+    def check(instance):
+        a, p, q = instance
+        got = K.exploit_terms_batch(a, p, q)
+        assert [x.shape for x in got] == [p.shape[:-1]] * 3
+        if p.ndim == 1:
+            assert _hex(got) == _hex(_exploit_terms_impl(a, p, q))
+        else:
+            assert [_hex(col[g] for col in got) for g in range(len(p))] == \
+                [_hex(_exploit_terms_impl(a, pp, qq)) for pp, qq in zip(p, q)]
+
+    check()
 
 
 def test_exploit_terms_batch_leaves_its_inputs_unchanged():

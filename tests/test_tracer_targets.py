@@ -4,9 +4,12 @@ This checks every name it patches, and the kernel call ``perfbench/run.py``
 makes, against the package as it is, and that a traced evaluation still
 passes through every traced name once per game or per response: a faster
 path that routes around one would hide its calls from the benchmark. The
-block agent answers each distinct block once, so a traced padding
-experiment counts one LP and one parse per distinct block, not per game,
-and one certificate per dominated pad, since nothing reads a random pad's."""
+block agent answers each distinct block once, and reads a block that is a
+whole game from the game's record, so a traced padding experiment counts
+one LP and one parse per distinct block, not per game: a base game's LP is
+solved once, by its record, for both the agent and the pads' reference
+pairs. It counts one certificate per dominated pad, since nothing reads a
+random pad's."""
 
 import importlib.util
 import os
@@ -87,9 +90,11 @@ def test_a_traced_padding_experiment_solves_and_parses_each_block_once():
     answers = {(g.n, g.matrix.entries[:2, :2].tobytes()) for g in agent.games}
     # a dominated pad and a random pad of one base share their top-left block
     assert len(blocks) < len(answers) < len(agent.games) == count * (1 + 3 * len(targets))
-    base_solves, padded_checks = count, count * len(targets)
+    # base_n equals the block size, so each base game's block is the whole
+    # base, whose one solve, by its record, is among the distinct blocks
+    padded_checks = count * len(targets)
     assert {name: calls[name] for name in (
         "solver.lp", "solver.raw_exploit", "agents.propose", "agents.parse")} == {
-        "solver.lp": base_solves + padded_checks + len(blocks),
+        "solver.lp": padded_checks + len(blocks),
         "solver.raw_exploit": padded_checks,
         "agents.propose": len(agent.games), "agents.parse": len(answers)}
